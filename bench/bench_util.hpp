@@ -114,13 +114,10 @@ inline bool bench_elastic() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-/// SPTRSV_BENCH_DETERMINISTIC=1 runs every solve in the deterministic
-/// scheduler mode: slower (ranks serialize on the run token), but two runs
-/// of a bench print byte-identical tables (docs/DETERMINISM.md).
+/// Run options shared by every bench solve. Execution is deterministic,
+/// so two runs of a bench print byte-identical tables (docs/DETERMINISM.md).
 inline RunOptions bench_run_options() {
-  const char* v = std::getenv("SPTRSV_BENCH_DETERMINISTIC");
   RunOptions opts;
-  opts.deterministic = v != nullptr && v[0] != '\0' && v[0] != '0';
   opts.trace = !bench_trace_dir().empty();
   // Metrics ride along with JSON reporting; they live outside the clean
   // ledger, so the printed tables are bitwise unchanged.
@@ -130,9 +127,6 @@ inline RunOptions bench_run_options() {
 
 /// Prints the reproducibility banner benches lead with.
 inline void print_mode_banner() {
-  if (bench_run_options().deterministic) {
-    std::printf("# deterministic scheduler: repeated runs are byte-identical\n");
-  }
   const std::string tdir = bench_trace_dir();
   if (!tdir.empty()) {
     std::printf("# tracing: one Perfetto JSON per sweep point under %s/\n",

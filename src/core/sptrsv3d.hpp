@@ -46,8 +46,9 @@ struct SolveConfig {
   /// the naive per-node dense allreduce (ablation). Proposed algorithm only.
   bool sparse_zreduce = true;
   Idx nrhs = 1;
-  /// Runtime scheduling: deterministic token-handoff mode and the
-  /// perturbation seed (see RunOptions in runtime/cluster.hpp).
+  /// Runtime options: perturbation/fault seed, schedule policy, tracing,
+  /// metrics and fault-tolerance modes (see RunOptions in
+  /// runtime/cluster.hpp).
   RunOptions run;
 };
 

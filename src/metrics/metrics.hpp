@@ -17,10 +17,11 @@
 ///    no virtual time, fingerprint, message count or trace byte. Pinned by
 ///    tests/test_metrics.cpp.
 ///
-/// The registry is strictly per-rank (one owner thread; the deterministic
-/// scheduler's grant counter is the one cross-thread writer and is
-/// serialized by the token handoff). Cluster::run_impl merges the per-rank
-/// registries into an immutable MetricsReport after join.
+/// The registry is strictly per-rank. Rank fibers run one at a time on one
+/// thread, so the scheduler's grant counter — bumped by whichever rank
+/// grants the next one — never races with its owner. Cluster::run_impl
+/// merges the per-rank registries into an immutable MetricsReport once
+/// every rank has finished.
 
 #include <cstdint>
 #include <map>

@@ -1,26 +1,41 @@
 #include "runtime/cluster.hpp"
 
+#include <cxxabi.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <exception>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 
 #include "trace/trace.hpp"
+
+// AddressSanitizer must be told about every stack switch, or it reports
+// the fibers' frames as stack-buffer overflows (GCC defines the first
+// macro, Clang answers the feature query).
+#if defined(__SANITIZE_ADDRESS__)
+#define SPTRSV_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SPTRSV_ASAN_FIBERS 1
+#endif
+#endif
+#ifdef SPTRSV_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace sptrsv {
 namespace detail {
@@ -69,41 +84,30 @@ struct Envelope {
   Message msg;
 };
 
-/// What a parked rank is waiting for — published (lock-free) before every
-/// blocking wait so the watchdog's FaultReport can say "rank R waiting on
+/// What a parked rank is waiting for — set for the duration of every
+/// blocking wait so a deadlock FaultReport can say "rank R waiting on
 /// recv(src, tags)" instead of just "wedged" (docs/ROBUSTNESS.md).
 struct WaitInfo {
-  std::atomic<int> kind{0};  ///< 0 none, 1 recv, 2 collective
-  std::atomic<int> a{0};     ///< recv: src (comm-local, -1 wildcard); coll: generation
-  std::atomic<int> b{0};     ///< recv: tag_lo
-  std::atomic<int> c{0};     ///< recv: tag_hi (lo >= hi: any tag)
-  std::atomic<std::uint64_t> ctx{0};  ///< communicator context id
+  int kind = 0;           ///< 0 none, 1 recv, 2 collective
+  int a = 0;              ///< recv: src (comm-local, -1 wildcard); coll: generation
+  int b = 0;              ///< recv: tag_lo
+  int c = 0;              ///< recv: tag_hi (lo >= hi: any tag)
+  std::uint64_t ctx = 0;  ///< communicator context id
 };
 
 /// RAII publication of a WaitInfo around a blocking wait.
 struct WaitScope {
   WaitInfo& w;
   WaitScope(WaitInfo& wi, int kind, int a, int b, int c, std::uint64_t ctx) : w(wi) {
-    w.a.store(a, std::memory_order_relaxed);
-    w.b.store(b, std::memory_order_relaxed);
-    w.c.store(c, std::memory_order_relaxed);
-    w.ctx.store(ctx, std::memory_order_relaxed);
-    w.kind.store(kind, std::memory_order_release);
+    w = {kind, a, b, c, ctx};
   }
-  ~WaitScope() { w.kind.store(0, std::memory_order_release); }
-};
-
-/// Per-rank mailbox: all communicators deliver here; receives filter by
-/// (ctx, src, tag).
-struct Mailbox {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Envelope> q;
+  ~WaitScope() { w.kind = 0; }
 };
 
 /// Per-rank runtime context (virtual clock + accounting + mailbox).
 struct RankCtx {
-  Mailbox mailbox;
+  /// Every communicator delivers here; receives filter by (ctx, src, tag).
+  std::deque<Envelope> mailbox;
   int grank = 0;                 ///< global (world) rank of this context
   double vt = 0.0;
   double category[kNumTimeCategories] = {0, 0, 0, 0};
@@ -122,7 +126,7 @@ struct RankCtx {
   /// reaching the application would be a transport bug). Only consulted
   /// while delivery faults are active.
   std::map<int, std::set<std::int64_t>> seen_seqs;
-  WaitInfo wait;                 ///< watchdog diagnostics for blocking waits
+  WaitInfo wait;                 ///< deadlock diagnostics for blocking waits
   double vt_limit = std::numeric_limits<double>::infinity();
 
   bool tracing = false;          ///< RunOptions::trace
@@ -328,7 +332,7 @@ struct RankCtx {
   }
 
   /// Fires every crash event the clean clock just crossed: simulated
-  /// analytically at the crossing instant — the victim thread *is* the spare
+  /// analytically at the crossing instant — the victim fiber *is* the spare
   /// that adopts its identity (the clean clock, counters and solve state are
   /// exactly what the restored spare would recompute bit for bit), so only
   /// the recovery delay (heartbeat detection, ULFM repair sweeps, buddy
@@ -423,7 +427,7 @@ struct RankCtx {
   /// survivor-sized sweeps), shrink the world (one sweep), and the ring
   /// adopter pulls the victim's partition from the surviving buddy image,
   /// replaying the work since that epoch. Modeled analytically at the
-  /// victim's context — the victim thread keeps executing its partition,
+  /// victim's context — the victim fiber keeps executing its partition,
   /// which is bit-for-bit the work the adopter performs after the shrink
   /// (the solvers' reduction order is partition-parametric), so the clean
   /// ledger is untouched by construction; every cost lands on the fault
@@ -498,7 +502,7 @@ struct RankCtx {
   /// the relieved host hands this partition's checkpoint image back
   /// (checksum-verified, escalating to replay-from-start on a reject, same
   /// integrity rules as every other fetch). Modeled analytically at the
-  /// returning partition's context — the partition thread kept executing
+  /// returning partition's context — the partition fiber kept executing
   /// through the degraded window, so the clean ledger is untouched by
   /// construction; every cost lands on the fault clock and ElasticityStats.
   /// The relieved host's lowered multiplier arrives separately through the
@@ -722,24 +726,45 @@ struct RankCtx {
   }
 };
 
-/// Thrown into ranks blocked on a dead cluster.
+/// Thrown into ranks parked on a dead cluster.
 struct ClusterAborted : std::runtime_error {
   ClusterAborted() : std::runtime_error("cluster aborted: another rank failed") {}
 };
 
-/// Thrown into ranks parked on the deterministic scheduler when it proves
-/// the run is wedged (no READY or RUNNING rank, some BLOCKED). The catcher
-/// turns it into a structured FaultError naming its own blocked wait.
+/// Thrown into ranks parked on the scheduler when it proves the run is
+/// wedged (no READY or RUNNING rank, some BLOCKED). The catcher turns it
+/// into a structured FaultError naming its own blocked wait.
 struct SchedulerDeadlock {};
 
-/// Deterministic-mode run-token scheduler (docs/DETERMINISM.md).
-///
-/// Exactly one rank executes at a time; every blocking point in the runtime
-/// hands the token back here. Under the default kFifo policy the next
-/// holder is always the READY rank with the lexicographically smallest
-/// (virtual-time key, rank) pair, so the complete execution order — and
-/// with it every wildcard-receive choice, clock value and message count —
-/// is a pure function of the program.
+namespace {
+/// Layout of the C++ runtime's per-thread exception state (libsupc++
+/// `__cxa_eh_globals`: the caught-exception stack and the uncaught count).
+/// Fibers share one OS thread, so each fiber keeps its own copy across
+/// switches — otherwise a fiber parked inside a catch block would leave
+/// its exception on top of the next fiber's caught stack.
+struct EhGlobals {
+  void* caught = nullptr;
+  unsigned int uncaught = 0;
+};
+
+EhGlobals& eh_globals() {
+  return *reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals());
+}
+
+/// Usable stack per rank fiber. Mapped MAP_NORESERVE, so only the pages a
+/// rank actually touches cost memory; rank code is iterative (see
+/// solver2d.cpp), so this is generous headroom, also for sanitizer frames.
+constexpr std::size_t kFiberStack = std::size_t{1} << 20;
+}  // namespace
+
+/// The execution engine (docs/DETERMINISM.md): every rank runs as a
+/// ucontext fiber on the thread that called Cluster::run, and exactly one
+/// fiber executes at a time. Every blocking point in the runtime hands
+/// control back here. Under the default kFifo policy the next rank to run
+/// is always the READY rank with the lexicographically smallest
+/// (virtual-time key, rank) pair, kept in an ordered ready set, so the
+/// complete execution order — and with it every wildcard-receive choice,
+/// clock value and message count — is a pure function of the program.
 ///
 /// Exploration policies (docs/TESTING.md) permute the grant order among
 /// *eligible* ranks only: a rank that yielded through the commit fence
@@ -752,23 +777,28 @@ struct SchedulerDeadlock {};
 /// outcome is invariant and only the interleaving explored changes. Every
 /// grant decision is recorded into a ScheduleCertificate for exact replay.
 ///
-/// States: READY (wants the token, key = the virtual time it would resume
-/// at), RUNNING (holds the token), BLOCKED (needs wake(): an unsatisfied
-/// receive or an unfinished collective), DONE. No token is granted until
-/// all ranks have registered via start(), so the first holder does not
-/// depend on thread start-up order.
+/// States: READY (wants to run, key = the virtual time it would resume
+/// at), RUNNING, BLOCKED (needs wake(): an unsatisfied receive or an
+/// unfinished collective), DONE. Every rank starts READY at key 0.
+///
+/// Fibers: each rank gets an mmap'd stack with a PROT_NONE guard page
+/// below it, unmapped when the scheduler dies. A releasing fiber grants
+/// its successor itself and switches to it directly. Control returns to
+/// the calling thread only once no rank is READY: every rank is done, or
+/// the run aborted or provably deadlocked — then run() resumes each
+/// unfinished fiber so it throws ClusterAborted / SchedulerDeadlock on its
+/// own stack and its destructors run.
 class Scheduler {
  public:
   Scheduler(int nranks, const RunOptions& opts)
-      : watchdog_(opts.watchdog),
-        replay_(opts.replay_schedule),
+      : replay_(opts.replay_schedule),
         policy_(replay_ ? replay_->policy : opts.schedule),
         seed_(replay_ ? replay_->seed : opts.schedule_seed),
         delay_left_(opts.delay_budget),
-        state_(static_cast<size_t>(nranks), State::kUnstarted),
+        state_(static_cast<size_t>(nranks), State::kReady),
         key_(static_cast<size_t>(nranks), 0.0),
-        yielded_(static_cast<size_t>(nranks), 0),
-        cv_(static_cast<size_t>(nranks)) {
+        yielded_(static_cast<size_t>(nranks), 0) {
+    for (int r = 0; r < nranks; ++r) ready_.emplace_hint(ready_.end(), 0.0, r);
     if (policy_ == SchedulePolicy::kRandomPriority) {
       prio_.resize(static_cast<size_t>(nranks));
       for (int r = 0; r < nranks; ++r) {
@@ -786,97 +816,108 @@ class Scheduler {
     }
   }
 
-  /// Invoked (under the scheduler lock) at the moment a deadlock is proven,
-  /// with some blocked rank as witness — while every parked rank's WaitInfo
-  /// is still published, so the report can name what each one waits on.
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+  ~Scheduler() {
+    if (stacks_ != nullptr) munmap(stacks_, stacks_bytes_);
+  }
+
+  /// Invoked at the moment a deadlock is proven, with some blocked rank as
+  /// witness — while every parked rank's WaitInfo is still set, so the
+  /// report can name what each one waits on.
   void set_deadlock_callback(std::function<void(int)> cb) {
     deadlock_cb_ = std::move(cb);
   }
 
   /// Per-rank "sched.grants" metric handles (empty when metrics are off).
-  /// Bumped under the scheduler mutex by whichever thread grants; the token
-  /// handoff orders those writes against the owner rank's own reads, so the
-  /// counter is race-free. NOTE: grant counts are the one metric that is
-  /// legitimately policy-dependent — exploration policies permute grants by
-  /// design — so cross-policy comparisons must skip "sched.*" names.
+  /// NOTE: grant counts are the one metric that is legitimately
+  /// policy-dependent — exploration policies permute grants by design — so
+  /// cross-policy comparisons must skip "sched.*" names.
   void set_grant_counters(std::vector<MetricsRegistry::Counter> counters) {
     grant_counters_ = std::move(counters);
   }
 
-  /// Registers the calling rank and waits for its first grant.
-  void start(int rank) {
-    std::unique_lock<std::mutex> lk(mu_);
-    state_[static_cast<size_t>(rank)] = State::kReady;
-    key_[static_cast<size_t>(rank)] = 0.0;
-    ++started_;
-    grant_locked();
-    wait_for_token(lk, rank);
-  }
-
-  /// Releases the token for good (rank_fn returned).
-  void finish(int rank) {
-    std::lock_guard<std::mutex> lk(mu_);
-    state_[static_cast<size_t>(rank)] = State::kDone;
-    running_ = -1;
-    grant_locked();
+  /// Runs `body(rank)` for every rank as a fiber on the calling thread and
+  /// returns once every fiber has finished. `body` must not throw.
+  void run(const std::function<void(int)>& body) {
+    body_ = &body;
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t slot = page + kFiberStack;
+    const std::size_t n = state_.size();
+    stacks_bytes_ = slot * n;
+    void* mem = mmap(nullptr, stacks_bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (mem == MAP_FAILED) throw std::runtime_error("Cluster::run: cannot map fiber stacks");
+    stacks_ = static_cast<char*>(mem);
+    fibers_ = std::make_unique<Fiber[]>(n);
+    const auto self = reinterpret_cast<std::uintptr_t>(this);
+    for (std::size_t r = 0; r < n; ++r) {
+      char* guard = stacks_ + r * slot;
+      if (mprotect(guard, page, PROT_NONE) != 0) {
+        throw std::runtime_error("Cluster::run: cannot guard a fiber stack");
+      }
+      Fiber& f = fibers_[r];
+      f.stack = guard + page;
+      f.stack_size = kFiberStack;
+      getcontext(&f.uc);
+      f.uc.uc_stack.ss_sp = guard + page;
+      f.uc.uc_stack.ss_size = f.stack_size;
+      f.uc.uc_link = nullptr;
+      makecontext(&f.uc, reinterpret_cast<void (*)()>(&Scheduler::fiber_entry), 2,
+                  static_cast<unsigned>(self >> 32), static_cast<unsigned>(self));
+    }
+    const int first = grant();
+    if (first >= 0) switch_to(main_, fibers_[static_cast<size_t>(first)]);
+    // Back on the calling thread with no rank READY. Resume every
+    // unfinished fiber: the run aborted or deadlocked, so it throws from
+    // its parking point, unwinds, and finishes.
+    for (std::size_t r = 0; r < n; ++r) {
+      if (state_[r] == State::kDone) continue;
+      running_ = static_cast<int>(r);
+      switch_to(main_, fibers_[r]);
+    }
   }
 
   /// Re-enters the ready set with `key` (the virtual time the rank intends
-  /// to resume at) and waits until it is the minimum again. Used to defer a
-  /// receive commit while a rank with an earlier clock could still send.
+  /// to resume at) and returns once granted again. Used to defer a receive
+  /// commit while a rank with an earlier clock could still send.
   void yield(int rank, double key) {
-    std::unique_lock<std::mutex> lk(mu_);
-    state_[static_cast<size_t>(rank)] = State::kReady;
-    key_[static_cast<size_t>(rank)] = key;
+    set_ready(rank, key);
     yielded_[static_cast<size_t>(rank)] = 1;
-    running_ = -1;
-    grant_locked();
-    wait_for_token(lk, rank);
+    release(rank);
   }
 
-  /// Parks the rank until wake(); resumes once re-granted the token.
+  /// Parks the rank until wake(); returns once it is granted again.
   void block(int rank, double key) {
-    std::unique_lock<std::mutex> lk(mu_);
     state_[static_cast<size_t>(rank)] = State::kBlocked;
     key_[static_cast<size_t>(rank)] = key;
     yielded_[static_cast<size_t>(rank)] = 0;
-    running_ = -1;
-    grant_locked();
-    wait_for_token(lk, rank);
+    release(rank);
   }
 
-  /// Marks a blocked rank ready (no-op otherwise). Only the token holder
-  /// calls this — after delivering a message or finalizing a collective —
-  /// so the transition is serialized and needs no grant of its own.
+  /// Marks a blocked rank ready at the key it blocked with (no-op
+  /// otherwise). Called by the running rank after delivering a message or
+  /// finalizing a collective.
   void wake(int rank) {
-    std::lock_guard<std::mutex> lk(mu_);
     if (state_[static_cast<size_t>(rank)] == State::kBlocked) {
-      state_[static_cast<size_t>(rank)] = State::kReady;
+      set_ready(rank, key_[static_cast<size_t>(rank)]);
     }
   }
 
   /// True if a READY rank's key is strictly below `key` — i.e. someone
-  /// could still execute (and send) at an earlier virtual time.
-  bool ready_below(int rank, double key) {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t r = 0; r < state_.size(); ++r) {
-      if (static_cast<int>(r) != rank && state_[r] == State::kReady && key_[r] < key) {
-        return true;
-      }
-    }
-    return false;
+  /// could still execute (and send) at an earlier virtual time. The caller
+  /// is RUNNING, so it is never in the ready set itself.
+  bool ready_below(double key) const {
+    return !ready_.empty() && ready_.begin()->first < key;
   }
 
-  /// Wakes every waiter with the abort flag; they throw ClusterAborted.
-  void abort() {
-    std::lock_guard<std::mutex> lk(mu_);
-    aborted_ = true;
-    for (auto& cv : cv_) cv.notify_all();
-  }
+  /// Poisons the run: no rank is granted again, and every parked fiber
+  /// throws ClusterAborted when run() resumes it.
+  void abort() { aborted_ = true; }
+  bool aborted() const { return aborted_; }
 
-  /// The grant record so far (safe after join; callable any time).
-  ScheduleCertificate certificate() {
-    std::lock_guard<std::mutex> lk(mu_);
+  /// The grant record so far.
+  ScheduleCertificate certificate() const {
     ScheduleCertificate c;
     c.policy = policy_;
     c.seed = seed_;
@@ -885,71 +926,139 @@ class Scheduler {
   }
 
  private:
-  enum class State { kUnstarted, kReady, kRunning, kBlocked, kDone };
+  enum class State { kReady, kRunning, kBlocked, kDone };
+
+  /// One execution context: a rank fiber, or the calling thread (main_).
+  struct Fiber {
+    ucontext_t uc;
+    EhGlobals eh;                 ///< exception state while switched out
+    void* fake_stack = nullptr;   ///< AddressSanitizer's per-context state
+    const void* stack = nullptr;  ///< stack bottom (AddressSanitizer)
+    std::size_t stack_size = 0;
+  };
+
+  static void fiber_entry(unsigned hi, unsigned lo) {
+    Scheduler& s = *reinterpret_cast<Scheduler*>(
+        (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
+    const int rank = s.running_;
+    s.resumed(s.fibers_[static_cast<size_t>(rank)]);
+    // A fiber first resumed by an abort never runs its body (its rank
+    // would only throw ClusterAborted at its first blocking point).
+    if (!s.aborted_) (*s.body_)(rank);
+    s.exit_fiber(rank);
+  }
+
+  /// Suspends the current context `from` and resumes `to`; returns when
+  /// something switches back to `from`.
+  void switch_to(Fiber& from, Fiber& to) {
+    from.eh = eh_globals();
+#ifdef SPTRSV_ASAN_FIBERS
+    __sanitizer_start_switch_fiber(&from.fake_stack, to.stack, to.stack_size);
+#endif
+    swapcontext(&from.uc, &to.uc);
+    resumed(from);
+  }
+
+  /// Bookkeeping on the resumed side of every switch (and at fiber entry).
+  void resumed(Fiber& self) {
+#ifdef SPTRSV_ASAN_FIBERS
+    const void* prev_stack = nullptr;
+    std::size_t prev_size = 0;
+    __sanitizer_finish_switch_fiber(self.fake_stack, &prev_stack, &prev_size);
+    // The first switch of a run always leaves the calling thread, which is
+    // how its stack bounds become known for the switches back to it.
+    if (main_.stack == nullptr) {
+      main_.stack = prev_stack;
+      main_.stack_size = prev_size;
+    }
+#endif
+    eh_globals() = self.eh;
+  }
+
+  /// Leaves a finished fiber for good: grants the next rank, or returns
+  /// to the calling thread when none is READY.
+  [[noreturn]] void exit_fiber(int rank) {
+    state_[static_cast<size_t>(rank)] = State::kDone;
+    const int next = aborted_ ? -1 : grant();
+    Fiber& to = next >= 0 ? fibers_[static_cast<size_t>(next)] : main_;
+#ifdef SPTRSV_ASAN_FIBERS
+    __sanitizer_start_switch_fiber(nullptr, to.stack, to.stack_size);
+#endif
+    setcontext(&to.uc);
+    std::abort();  // setcontext returns only on failure
+  }
+
+  /// Hands the run to the policy's next choice (possibly the caller again)
+  /// and returns once the caller is granted. Throws if the run aborted or
+  /// deadlocked meanwhile.
+  void release(int rank) {
+    if (!aborted_) {
+      const int next = grant();
+      if (next != rank) {
+        switch_to(fibers_[static_cast<size_t>(rank)],
+                  next >= 0 ? fibers_[static_cast<size_t>(next)] : main_);
+      }
+    }
+    if (aborted_) {
+      if (deadlocked_) throw SchedulerDeadlock{};
+      throw ClusterAborted();
+    }
+  }
+
+  void set_ready(int rank, double key) {
+    state_[static_cast<size_t>(rank)] = State::kReady;
+    key_[static_cast<size_t>(rank)] = key;
+    ready_.emplace(key, rank);
+  }
 
   /// A READY rank the policy may legally grant: never yielded, or yielded
   /// but now holding the minimal key (see the class comment).
-  bool eligible_locked(size_t r, double min_key) const {
+  bool eligible(size_t r, double min_key) const {
     return state_[r] == State::kReady && (!yielded_[r] || key_[r] <= min_key);
   }
 
-  /// Grants the token to the policy's choice among eligible READY ranks,
-  /// once all ranks have started and no one is running. Caller holds mu_.
-  void grant_locked() {
-    if (running_ != -1 || started_ < static_cast<int>(state_.size())) return;
-    int best = -1;
-    for (size_t r = 0; r < state_.size(); ++r) {
-      if (state_[r] != State::kReady) continue;
-      if (best < 0 || key_[r] < key_[static_cast<size_t>(best)]) {
-        best = static_cast<int>(r);  // key tie: lowest rank wins (scan order)
-      }
-    }
-    if (best < 0) {
-      // Everyone blocked or done. A BLOCKED rank can only be woken by a
-      // RUNNING rank, so if anyone is still blocked the run is provably
-      // wedged: wake the parked ranks with the deadlock verdict instead of
-      // sleeping forever (docs/ROBUSTNESS.md).
-      if (watchdog_ && !aborted_) {
-        for (size_t r = 0; r < state_.size(); ++r) {
-          if (state_[r] == State::kBlocked) {
-            aborted_ = true;
-            deadlocked_ = true;
-            // Build the report now: once the parked ranks start unwinding,
-            // their WaitScopes pop and the wait state is gone.
-            if (deadlock_cb_) deadlock_cb_(static_cast<int>(r));
-            for (auto& cv : cv_) cv.notify_all();
-            break;
-          }
+  /// Marks the policy's choice among eligible READY ranks RUNNING and
+  /// returns it; -1 when no rank is READY. If some rank is then still
+  /// BLOCKED, only a running rank could ever wake it, so the run is
+  /// provably wedged: the deadlock is recorded and the run aborted
+  /// (docs/ROBUSTNESS.md).
+  int grant() {
+    if (ready_.empty()) {
+      for (size_t r = 0; r < state_.size(); ++r) {
+        if (state_[r] == State::kBlocked) {
+          aborted_ = true;
+          deadlocked_ = true;
+          if (deadlock_cb_) deadlock_cb_(static_cast<int>(r));
+          break;
         }
       }
-      return;
+      return -1;
     }
-    // `best` is the FIFO choice (minimal key over READY, so always
-    // eligible); exploration policies may substitute any other eligible
-    // rank without breaking the commit fence.
-    best = pick_locked(best, key_[static_cast<size_t>(best)]);
+    // The FIFO choice: minimal (key, rank), so always eligible; exploration
+    // policies may substitute any other eligible rank without breaking the
+    // commit fence.
+    const auto [min_key, fifo] = *ready_.begin();
+    const int best = pick(fifo, min_key);
+    ready_.erase({key_[static_cast<size_t>(best)], best});
     yielded_[static_cast<size_t>(best)] = 0;
     record_.push_back(best);
     ++grant_n_;
     if (!grant_counters_.empty()) grant_counters_[static_cast<size_t>(best)].add();
     state_[static_cast<size_t>(best)] = State::kRunning;
     running_ = best;
-    // Per-rank condition variables: a handoff wakes exactly the new holder.
-    // One shared cv would thundering-herd all P waiters per handoff, which
-    // dominates runtime at P in the thousands.
-    cv_[static_cast<size_t>(best)].notify_one();
+    return best;
   }
 
-  /// Applies the schedule policy / replay to the FIFO choice. Caller holds
-  /// mu_; `fifo` is READY with the minimal key `min_key`.
-  int pick_locked(int fifo, double min_key) {
+  /// Applies the schedule policy / replay to the FIFO choice; `fifo` is
+  /// READY with the minimal key `min_key`.
+  int pick(int fifo, double min_key) {
     if (replay_ != nullptr) {
       // Follow the certificate while it stays legal; a diverged or
       // exhausted record degrades to FIFO instead of wedging the run.
       if (replay_pos_ < replay_->grants.size()) {
         const int want = replay_->grants[replay_pos_++];
         if (want >= 0 && want < static_cast<int>(state_.size()) &&
-            eligible_locked(static_cast<size_t>(want), min_key)) {
+            eligible(static_cast<size_t>(want), min_key)) {
           return want;
         }
       }
@@ -961,7 +1070,7 @@ class Scheduler {
       case SchedulePolicy::kRandomPriority: {
         int best = fifo;
         for (size_t r = 0; r < state_.size(); ++r) {
-          if (!eligible_locked(r, min_key)) continue;
+          if (!eligible(r, min_key)) continue;
           if (prio_[r] > prio_[static_cast<size_t>(best)]) best = static_cast<int>(r);
         }
         // PCT priority-change points: demote the chosen rank below every
@@ -978,7 +1087,7 @@ class Scheduler {
           // (key, rank) order among eligibles, if there is one.
           int second = -1;
           for (size_t r = 0; r < state_.size(); ++r) {
-            if (static_cast<int>(r) == fifo || !eligible_locked(r, min_key)) continue;
+            if (static_cast<int>(r) == fifo || !eligible(r, min_key)) continue;
             if (second < 0 || key_[r] < key_[static_cast<size_t>(second)]) {
               second = static_cast<int>(r);
             }
@@ -994,16 +1103,6 @@ class Scheduler {
     return fifo;
   }
 
-  void wait_for_token(std::unique_lock<std::mutex>& lk, int rank) {
-    cv_[static_cast<size_t>(rank)].wait(
-        lk, [&] { return aborted_ || running_ == rank; });
-    if (aborted_) {
-      if (deadlocked_) throw SchedulerDeadlock{};
-      throw ClusterAborted();
-    }
-  }
-
-  bool watchdog_ = true;
   bool aborted_ = false;
   bool deadlocked_ = false;
   std::function<void(int)> deadlock_cb_;
@@ -1019,37 +1118,37 @@ class Scheduler {
   std::size_t change_pos_ = 0;
   std::uint64_t demote_next_ = 0;
   std::vector<std::int32_t> record_;
-  int started_ = 0;
   int running_ = -1;
   std::vector<State> state_;
   std::vector<double> key_;
   std::vector<char> yielded_;
-  std::mutex mu_;
-  std::vector<std::condition_variable> cv_;
+  std::set<std::pair<double, int>> ready_;  // READY ranks by (key, rank)
+  const std::function<void(int)>* body_ = nullptr;
+  Fiber main_;                      // the thread that called run()
+  std::unique_ptr<Fiber[]> fibers_;
+  char* stacks_ = nullptr;          // one mapping: [guard|stack] per rank
+  std::size_t stacks_bytes_ = 0;
 };
 
 /// Whole-cluster shared state.
 class ClusterState {
  public:
   ClusterState(int nranks, MachineModel machine, const RunOptions& opts)
-      : machine_(std::move(machine)), opts_(opts),
-        ranks_(static_cast<size_t>(nranks)), active_(nranks) {
-    if (opts_.deterministic) {
-      sched_ = std::make_unique<Scheduler>(nranks, opts_);
-      sched_->set_deadlock_callback(
-          [this](int witness) { record_fault(build_deadlock_report(witness)); });
-    }
+      : machine_(std::move(machine)), opts_(opts), sched_(nranks, opts_),
+        ranks_(static_cast<size_t>(nranks)) {
+    sched_.set_deadlock_callback(
+        [this](int witness) { deadlock_ = build_deadlock_report(witness); });
     const bool skewed = machine_.perturb.compute_skew > 0.0;
     const bool crashing = machine_.perturb.crash_active();
     if (crashing) {
       // The whole crash schedule — times and recovery verdicts — is fixed
-      // here, before any thread runs, so both scheduler modes process the
+      // here, before any rank runs, so every schedule policy processes the
       // exact same events in the exact same order.
       crash_plan_ = build_crash_plan(machine_.perturb, machine_.recovery,
                                      opts_.seed, nranks);
       ckpt_ = std::make_unique<CheckpointStore>(nranks);
     }
-    // The memory-fault plan is likewise fixed before any thread runs; its
+    // The memory-fault plan is likewise fixed before any rank runs; its
     // draws ride a salted stream of their own (kMemStreamSalt), so enabling
     // SDC shifts no timing, delivery, or crash draw.
     const bool sdc = machine_.perturb.sdc_active();
@@ -1143,21 +1242,20 @@ class ClusterState {
         mh.straggler_rebalances = m->counter("recovery.straggler.rebalances");
       }
     }
-    if (sched_ != nullptr && opts_.metrics) {
+    if (opts_.metrics) {
       std::vector<MetricsRegistry::Counter> grants;
       grants.reserve(static_cast<size_t>(nranks));
       for (int r = 0; r < nranks; ++r) {
         grants.push_back(metrics_[static_cast<size_t>(r)]->counter("sched.grants"));
       }
-      sched_->set_grant_counters(std::move(grants));
+      sched_.set_grant_counters(std::move(grants));
     }
   }
 
   const MachineModel& machine() const { return machine_; }
   const RunOptions& opts() const { return opts_; }
-  Scheduler* sched() { return sched_.get(); }
+  Scheduler& sched() { return sched_; }
   RankCtx& rank(int global) { return ranks_[static_cast<size_t>(global)]; }
-  int world_size() const { return static_cast<int>(ranks_.size()); }
   std::uint64_t next_ctx() { return ++ctx_counter_; }
 
   /// Rank r's registry (null when RunOptions::metrics is off).
@@ -1167,8 +1265,7 @@ class ClusterState {
 
   /// Formats every rank's flight-recorder ring, oldest entry first, one
   /// line per entry ("rank R: vt=... recv-wait(src=1, tags[40,41))").
-  /// Called after join (or at detection, when the rings are quiescent) to
-  /// populate FaultReport::flight.
+  /// Called once every rank has finished to populate FaultReport::flight.
   std::vector<std::string> flight_dump() const {
     std::vector<std::string> out;
     for (size_t r = 0; r < ranks_.size(); ++r) {
@@ -1243,85 +1340,45 @@ class ClusterState {
     return out;
   }
 
-  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
+  bool aborted() const { return sched_.aborted(); }
 
-  /// Called when a rank dies with an exception: wakes every blocked wait
-  /// so the remaining ranks can unwind instead of deadlocking at join.
-  void abort();
+  /// Called when a rank dies with an exception: no rank is granted again,
+  /// and every parked rank unwinds with ClusterAborted.
+  void abort() { sched_.abort(); }
 
-  void register_group(const std::shared_ptr<CommGroup>& g) {
-    std::lock_guard<std::mutex> lk(groups_mu_);
-    groups_.push_back(g);
-  }
+  /// The report built when the scheduler proved the run deadlocked.
+  const FaultReport& deadlock_report() const { return deadlock_; }
 
-  // --- watchdog bookkeeping (free-running mode; docs/ROBUSTNESS.md) ---
-
-  /// Bumped whenever anything that could unblock a waiter happens (a send
-  /// lands, a collective finalizes, a rank finishes).
-  void bump_progress() { progress_.fetch_add(1, std::memory_order_release); }
-
-  /// Rank thread is leaving (returned or threw): it can no longer send.
-  void rank_done() {
-    active_.fetch_sub(1, std::memory_order_acq_rel);
-    bump_progress();
-  }
-
-  /// Records the first fault of the run; returns true iff this call won.
-  bool record_fault(const FaultReport& r) {
-    std::lock_guard<std::mutex> lk(fault_mu_);
-    if (has_fault_) return false;
-    has_fault_ = true;
-    fault_ = r;
-    return true;
-  }
-
-  /// The fault recorded at detection time, or a freshly built (less
-  /// detailed, the waits are gone) report if none was.
-  FaultReport recorded_fault_or_report(int grank) {
-    {
-      std::lock_guard<std::mutex> lk(fault_mu_);
-      if (has_fault_) return fault_;
-    }
-    return build_deadlock_report(grank);
-  }
-
-  /// Builds the watchdog's deadlock report from `grank`'s own wait plus a
-  /// lock-free snapshot of what every parked rank says it is waiting on.
+  /// Builds the deadlock report from `grank`'s own wait plus what every
+  /// parked rank says it is waiting on.
   FaultReport build_deadlock_report(int grank) {
     FaultReport r;
     r.kind = FaultKind::kDeadlock;
     r.rank = grank;
     r.vt = ranks_[static_cast<size_t>(grank)].vt;
     const WaitInfo& own = ranks_[static_cast<size_t>(grank)].wait;
-    if (own.kind.load(std::memory_order_acquire) == 1) {
-      r.peer = own.a.load(std::memory_order_relaxed);
-      r.tag = own.b.load(std::memory_order_relaxed);
+    if (own.kind == 1) {
+      r.peer = own.a;
+      r.tag = own.b;
     }
     std::string d = "no rank can make progress;";
     int listed = 0;
     for (size_t i = 0; i < ranks_.size(); ++i) {
       const WaitInfo& w = ranks_[i].wait;
-      const int kind = w.kind.load(std::memory_order_acquire);
-      if (kind == 0) continue;
+      if (w.kind == 0) continue;
       if (++listed > 12) {
         d += " ...";
         break;
       }
       char buf[96];
-      if (kind == 1) {
+      if (w.kind == 1) {
         std::snprintf(buf, sizeof(buf),
                       " rank %zu waiting on recv(src=%d, tags[%d,%d), ctx=%llu);",
-                      i, w.a.load(std::memory_order_relaxed),
-                      w.b.load(std::memory_order_relaxed),
-                      w.c.load(std::memory_order_relaxed),
-                      static_cast<unsigned long long>(
-                          w.ctx.load(std::memory_order_relaxed)));
+                      i, w.a, w.b, w.c, static_cast<unsigned long long>(w.ctx));
       } else {
         std::snprintf(buf, sizeof(buf),
-                      " rank %zu waiting on collective(gen=%d, ctx=%llu);", i,
-                      w.a.load(std::memory_order_relaxed),
-                      static_cast<unsigned long long>(
-                          w.ctx.load(std::memory_order_relaxed)));
+                      " rank %zu waiting on collective(gen=%d, ctx=%llu);", i, w.a,
+                      static_cast<unsigned long long>(w.ctx));
       }
       d += buf;
     }
@@ -1329,91 +1386,14 @@ class ClusterState {
     return r;
   }
 
-  /// Positive in-flight evidence for the free-running watchdog: true if any
-  /// *other* rank's published recv wait is already satisfiable by an
-  /// envelope queued in its mailbox, or any communicator holds a finalized
-  /// collective a member has not consumed yet — i.e. a wakeup was delivered
-  /// but its target thread has not run (e.g. starved by a loaded machine).
-  /// Declaring a deadlock then would misdiagnose scheduling latency as a
-  /// hang, so the watchdog treats it as progress. Declared here, defined
-  /// after CommGroup; `held_ctx` names the communicator whose mutex the
-  /// caller holds (a collective wait) so the scan skips it — every other
-  /// lock is only try_lock'd, and a failed try_lock is itself activity.
-  bool pending_wakeup(int skip_rank, std::uint64_t held_ctx);
-
-  /// Free-running-mode blocking wait with deadlock detection: parks on `cv`
-  /// until `pred` holds. A deadlock is declared only on positive evidence of
-  /// global quiescence: every live rank parked, the progress counter frozen
-  /// for the whole patience window, *and* no in-flight wakeup pending
-  /// (pending_wakeup) — elapsed quiet time alone never fires, so a rank
-  /// descheduled mid-compute on a loaded machine is not misdiagnosed. Then
-  /// re-checks `pred` one last time and declares: records a FaultReport,
-  /// aborts the cluster and throws FaultError. Throws ClusterAborted if
-  /// woken by another rank's abort. `lk` guards `pred`'s state; `held_ctx`
-  /// is the communicator context whose mutex `lk` holds (0 for a mailbox
-  /// wait).
-  template <class Pred>
-  void blocking_wait(std::unique_lock<std::mutex>& lk, std::condition_variable& cv,
-                     int grank, Pred pred, std::uint64_t held_ctx = 0) {
-    if (!opts_.watchdog) {
-      cv.wait(lk, [&] { return pred() || aborted(); });
-      if (!pred()) throw ClusterAborted();
-      return;
-    }
-    waiting_.fetch_add(1, std::memory_order_acq_rel);
-    struct Depart {
-      std::atomic<int>& w;
-      ~Depart() { w.fetch_sub(1, std::memory_order_acq_rel); }
-    } depart{waiting_};
-    std::uint64_t snap = progress_.load(std::memory_order_acquire);
-    int quiet = 0;
-    for (;;) {
-      if (cv.wait_for(lk, std::chrono::milliseconds(100),
-                      [&] { return pred() || aborted(); })) {
-        break;
-      }
-      const std::uint64_t now = progress_.load(std::memory_order_acquire);
-      if (now != snap) {
-        snap = now;
-        quiet = 0;
-        continue;
-      }
-      if (++quiet < 3) continue;  // ~300 ms of real-time quiescence
-      if (waiting_.load(std::memory_order_acquire) <
-          active_.load(std::memory_order_acquire)) {
-        quiet = 0;  // someone is still computing — not a deadlock
-        continue;
-      }
-      if (pending_wakeup(grank, held_ctx)) {
-        quiet = 0;  // a delivered wakeup is still in flight — not a deadlock
-        continue;
-      }
-      if (pred() || aborted()) break;
-      FaultReport r = build_deadlock_report(grank);
-      lk.unlock();
-      record_fault(r);
-      abort();
-      throw FaultError(std::move(r));
-    }
-    if (!pred()) throw ClusterAborted();
-  }
-
  private:
   MachineModel machine_;
   RunOptions opts_;
-  std::unique_ptr<Scheduler> sched_;  // deterministic mode only
-  std::deque<RankCtx> ranks_;  // deque: RankCtx is not movable (mutex)
+  Scheduler sched_;
+  std::vector<RankCtx> ranks_;
   std::vector<std::unique_ptr<MetricsRegistry>> metrics_;  // per rank; metrics on only
-  std::uint64_t ctx_counter_ = 0;  // pre-incremented under group mutexes only
-  std::atomic<bool> aborted_{false};
-  std::atomic<std::uint64_t> progress_{0};
-  std::atomic<int> waiting_{0};
-  std::atomic<int> active_;
-  std::mutex fault_mu_;
-  bool has_fault_ = false;
-  FaultReport fault_;
-  std::mutex groups_mu_;
-  std::vector<std::weak_ptr<CommGroup>> groups_;
+  std::uint64_t ctx_counter_ = 0;
+  FaultReport deadlock_;
   CrashPlan crash_plan_;                  // empty unless perturb.crash_active()
   std::unique_ptr<CheckpointStore> ckpt_; // null unless perturb.crash_active()
   SdcPlan sdc_plan_;                      // empty unless perturb.sdc_active()
@@ -1421,7 +1401,7 @@ class ClusterState {
 
 /// One communicator: a context id plus the member global ranks. Also hosts
 /// the generation-numbered collective slots (barrier / allreduce / split).
-class CommGroup : public std::enable_shared_from_this<CommGroup> {
+class CommGroup {
  public:
   CommGroup(ClusterState* cluster, std::uint64_t ctx, std::vector<int> global_ranks)
       : cluster_(cluster), ctx_(ctx), globals_(std::move(global_ranks)) {}
@@ -1432,8 +1412,8 @@ class CommGroup : public std::enable_shared_from_this<CommGroup> {
   int global_rank(int r) const { return globals_[static_cast<size_t>(r)]; }
 
   // --- ULFM revocation (docs/ROBUSTNESS.md) ---
-  bool revoked() const { return revoked_.load(std::memory_order_acquire); }
-  void set_revoked() { revoked_.store(true, std::memory_order_release); }
+  bool revoked() const { return revoked_; }
+  void set_revoked() { revoked_ = true; }
 
   /// Structured failure for an operation attempted on a revoked
   /// communicator (every member observes the same kind; detail names the
@@ -1469,186 +1449,49 @@ class CommGroup : public std::enable_shared_from_this<CommGroup> {
   };
 
   /// Runs one collective: `deposit` stores this rank's contribution into
-  /// the slot; the last arriver runs `finalize`; everyone then reads via
-  /// `extract` after `ready`. All callbacks run under the group mutex.
-  /// `grank`/`vt` identify the caller to the deterministic scheduler.
-  /// `tolerate_revoked` lets ULFM repair collectives (agree/shrink) proceed
-  /// on a revoked communicator; everything else fails with kRevoked.
-  /// `expected` overrides the arrival count that completes the operation
-  /// (-1 = all members) for survivor-only collectives.
+  /// the slot; the last arriver runs `finalize` and wakes the parked
+  /// members; everyone then reads via `extract`. Non-final arrivers park
+  /// in the scheduler as `grank` at key `vt`. `tolerate_revoked` lets ULFM
+  /// repair collectives (agree/shrink) proceed on a revoked communicator;
+  /// everything else fails with kRevoked. `expected` overrides the arrival
+  /// count that completes the operation (-1 = all members) for
+  /// survivor-only collectives.
   template <class Deposit, class Finalize, class Extract>
   auto collective(std::int64_t gen, int grank, double vt, Deposit deposit,
                   Finalize finalize, Extract extract,
                   bool tolerate_revoked = false, int expected = -1) {
     if (expected < 0) expected = size();
     if (!tolerate_revoked && revoked()) throw_revoked(grank, vt);
-    if (Scheduler* sched = cluster_->sched()) {
-      return collective_det(sched, gen, grank, vt, deposit, finalize, extract,
-                            tolerate_revoked, expected);
-    }
-    std::unique_lock<std::mutex> lk(mu_);
-    CollSlot& slot = slots_[gen];
+    Scheduler& sched = cluster_->sched();
+    CollSlot& slot = slots_[gen];  // map node: stable until erased below
     if (slot.expected == 0) slot.expected = expected;
     deposit(slot);
     if (++slot.arrived == slot.expected) {
       finalize(slot);
       slot.ready = true;
-      cluster_->bump_progress();
-      cv_.notify_all();
+      for (const int g : globals_) {
+        if (g != grank) sched.wake(g);
+      }
     } else {
       WaitScope ws(cluster_->rank(grank).wait, /*collective*/ 2,
                    static_cast<int>(gen), 0, 0, ctx_);
-      cluster_->blocking_wait(
-          lk, cv_, grank,
-          [&] { return slot.ready || (!tolerate_revoked && revoked()); }, ctx_);
-      if (!slot.ready) {
-        lk.unlock();
-        throw_revoked(grank, vt);
+      while (!slot.ready) {
+        if (!tolerate_revoked && revoked()) throw_revoked(grank, vt);
+        sched.block(grank, vt);  // a stray message wake rechecks and re-parks
       }
     }
     auto result = extract(slot);
     if (++slot.consumed == slot.expected) slots_.erase(gen);
     return result;
-  }
-
-  void wake_all() {
-    std::lock_guard<std::mutex> lk(mu_);  // lock so no waiter misses the flag
-    cv_.notify_all();
-  }
-
-  /// Watchdog scan (ClusterState::pending_wakeup): a finalized collective
-  /// not yet consumed by every expected member means a member was woken but
-  /// has not run — in-flight progress, not quiescence. try_lock only: a
-  /// contended mutex is itself evidence of activity, and never deadlocks
-  /// against whatever the caller holds.
-  bool pending_collective_wakeup() {
-    std::unique_lock<std::mutex> lk(mu_, std::try_to_lock);
-    if (!lk.owns_lock()) return true;
-    for (const auto& [gen, slot] : slots_) {
-      if (slot.ready && slot.consumed < slot.expected) return true;
-    }
-    return false;
   }
 
  private:
-  /// Deterministic-mode collective: the caller holds the run token, so
-  /// slot arrivals are already serialized; non-final arrivers release the
-  /// token through the scheduler instead of waiting on the group condition
-  /// variable, and the finalizer wakes the parked members.
-  template <class Deposit, class Finalize, class Extract>
-  auto collective_det(Scheduler* sched, std::int64_t gen, int grank, double vt,
-                      Deposit deposit, Finalize finalize, Extract extract,
-                      bool tolerate_revoked, int expected) {
-    bool finalized_here = false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      CollSlot& slot = slots_[gen];
-      if (slot.expected == 0) slot.expected = expected;
-      deposit(slot);
-      if (++slot.arrived == slot.expected) {
-        finalize(slot);
-        slot.ready = true;
-        finalized_here = true;
-      }
-    }
-    if (finalized_here) {
-      cluster_->bump_progress();
-      for (const int g : globals_) {
-        if (g != grank) sched->wake(g);
-      }
-    } else {
-      WaitScope ws(cluster_->rank(grank).wait, /*collective*/ 2,
-                   static_cast<int>(gen), 0, 0, ctx_);
-      for (;;) {
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          if (slots_[gen].ready) break;
-        }
-        if (!tolerate_revoked && revoked()) throw_revoked(grank, vt);
-        if (cluster_->aborted()) throw ClusterAborted();
-        sched->block(grank, vt);  // a stray message wake rechecks and re-parks
-      }
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    CollSlot& slot = slots_[gen];
-    auto result = extract(slot);
-    if (++slot.consumed == slot.expected) slots_.erase(gen);
-    return result;
-  }
-
   ClusterState* cluster_;
   std::uint64_t ctx_;
   std::vector<int> globals_;
-  std::atomic<bool> revoked_{false};
-  std::mutex mu_;
-  std::condition_variable cv_;
+  bool revoked_ = false;
   std::map<std::int64_t, CollSlot> slots_;
 };
-
-bool ClusterState::pending_wakeup(int skip_rank, std::uint64_t held_ctx) {
-  // A queued envelope already matching some parked rank's published recv
-  // wait: the receiver was notified but its thread has not run yet.
-  // `skip_rank` is the caller — in a recv wait it holds its own mailbox
-  // mutex (try_lock on an owned std::mutex is undefined), and its own pred
-  // is re-checked separately anyway.
-  for (size_t i = 0; i < ranks_.size(); ++i) {
-    if (static_cast<int>(i) == skip_rank) continue;
-    RankCtx& rc = ranks_[i];
-    if (rc.wait.kind.load(std::memory_order_acquire) != 1) continue;
-    const int src = rc.wait.a.load(std::memory_order_relaxed);
-    const int lo = rc.wait.b.load(std::memory_order_relaxed);
-    const int hi = rc.wait.c.load(std::memory_order_relaxed);
-    const std::uint64_t wctx = rc.wait.ctx.load(std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lk(rc.mailbox.mu, std::try_to_lock);
-    if (!lk.owns_lock()) return true;  // the owner or a sender is active now
-    for (const auto& e : rc.mailbox.q) {
-      // Envelope src and the published wait are both comm-local, compared
-      // under the same communicator context.
-      if (e.ctx == wctx && (src == kAnySource || e.msg.src == src) &&
-          (lo >= hi || (e.msg.tag >= lo && e.msg.tag < hi))) {
-        return true;
-      }
-    }
-  }
-  // A finalized-but-unconsumed collective: a member was woken to extract
-  // but has not run yet. Snapshot under groups_mu_, scan after releasing it
-  // (same discipline as abort()); skip the group whose mutex the caller
-  // holds during its own collective wait.
-  std::vector<std::shared_ptr<CommGroup>> live;
-  {
-    std::lock_guard<std::mutex> lk(groups_mu_);
-    live.reserve(groups_.size());
-    for (auto& wg : groups_) {
-      if (auto g = wg.lock()) live.push_back(std::move(g));
-    }
-  }
-  for (auto& g : live) {
-    if (g->ctx() == held_ctx) continue;
-    if (g->pending_collective_wakeup()) return true;
-  }
-  return false;
-}
-
-void ClusterState::abort() {
-  aborted_.store(true, std::memory_order_release);
-  if (sched_) sched_->abort();
-  for (auto& r : ranks_) {
-    std::lock_guard<std::mutex> lk(r.mailbox.mu);
-    r.mailbox.cv.notify_all();
-  }
-  // Snapshot under groups_mu_, wake outside it: split() registers new
-  // groups while holding a group mutex, so waking while holding groups_mu_
-  // would invert that order (groups_mu_ -> group mu_ vs the reverse).
-  std::vector<std::shared_ptr<CommGroup>> live;
-  {
-    std::lock_guard<std::mutex> lk(groups_mu_);
-    live.reserve(groups_.size());
-    for (auto& wg : groups_) {
-      if (auto g = wg.lock()) live.push_back(std::move(g));
-    }
-  }
-  for (auto& g : live) g->wake_all();
-}
 
 }  // namespace detail
 
@@ -1887,16 +1730,8 @@ void Comm::send_link(int dst, int tag, std::vector<Real> data, const LinkParams&
     }
     ctx_->trace.events.push_back(e);
   }
-  detail::Mailbox& box = cluster->rank(dst_grank).mailbox;
-  {
-    std::lock_guard<std::mutex> lk(box.mu);
-    box.q.push_back(std::move(env));
-  }
-  cluster->bump_progress();
-  box.cv.notify_all();
-  // Deterministic mode: the receiver parks in the scheduler, not on the
-  // mailbox condition variable.
-  if (detail::Scheduler* sched = cluster->sched()) sched->wake(dst_grank);
+  cluster->rank(dst_grank).mailbox.push_back(std::move(env));
+  cluster->sched().wake(dst_grank);
 }
 
 Message Comm::recv(int src, int tag, TimeCategory cat) {
@@ -1909,8 +1744,8 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
     throw std::out_of_range("Comm::recv: bad source");
   }
   const bool any_tag = (tag_lo >= tag_hi);
-  detail::Mailbox& box = ctx_->mailbox;
-  // Watchdog diagnostics: publish what this rank is about to wait on, so a
+  std::deque<detail::Envelope>& box = ctx_->mailbox;
+  // Deadlock diagnostics: record what this rank is about to wait on, so a
   // wedged run names the blocking (src, tag) per rank (docs/ROBUSTNESS.md).
   detail::WaitScope ws(ctx_->wait, /*recv*/ 1, src, tag_lo, tag_hi, group_->ctx());
   // Flight-recorder entry for the wait itself, recorded *before* parking:
@@ -1925,7 +1760,7 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
   // per-source arrivals are monotone, so same-source FIFO is preserved;
   // perturbation seeds may reorder them — by design, solvers must not care).
   // Bitwise-equal arrivals are broken lexicographically by (sender, seq) —
-  // never by queue insertion order, which would leak the thread/grant order
+  // never by queue insertion order, which would leak the grant order
   // into the wildcard choice, and never by a policy-seeded score: which
   // equal-arrival message is taken first changes the virtual times of the
   // sends issued between the two takes, so the tie-break must be one fixed
@@ -1937,9 +1772,9 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
     return a.seq < b.seq;
   };
   auto scan = [&]() {
-    auto best = box.q.end();
-    for (auto it = box.q.begin(); it != box.q.end(); ++it) {
-      if (matches(*it) && (best == box.q.end() || earlier(*it, *best))) {
+    auto best = box.end();
+    for (auto it = box.begin(); it != box.end(); ++it) {
+      if (matches(*it) && (best == box.end() || earlier(*it, *best))) {
         best = it;
       }
     }
@@ -1953,7 +1788,7 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
     const double fa = best->fault_arrival;
     std::unique_ptr<const TransportOutcome> outcome = std::move(best->transport);
     Message msg = std::move(best->msg);
-    box.q.erase(best);
+    box.erase(best);
     if (outcome) {
       if (outcome->failed) {
         // The transport never got an intact copy through (retry budget
@@ -2037,51 +1872,30 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
     return msg;
   };
 
-  if (detail::Scheduler* sched = group_->cluster()->sched()) {
-    // Deterministic mode: the caller holds the run token. Park until a
-    // match is queued, then commit only once no READY rank could still
-    // execute (and send) below the commit time — the wildcard choice is
-    // the globally earliest arrival any runnable rank can produce.
-    for (;;) {
-      if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
-      if (group_->cluster()->aborted()) throw detail::ClusterAborted();
-      std::unique_lock<std::mutex> lk(box.mu);
-      auto best = scan();
-      if (best == box.q.end()) {
-        lk.unlock();
-        sched->block(ctx_->grank, ctx_->vt);
-        continue;
-      }
-      const double commit = std::max(ctx_->vt, best->msg.arrival);
-      if (sched->ready_below(ctx_->grank, commit)) {
-        lk.unlock();
-        sched->yield(ctx_->grank, commit);
-        continue;  // an earlier message may have been queued meanwhile
-      }
-      return take(best);
+  // Park until a match is queued, then commit only once no READY rank
+  // could still execute (and send) below the commit time — the wildcard
+  // choice is the globally earliest arrival any runnable rank can produce.
+  detail::Scheduler& sched = group_->cluster()->sched();
+  for (;;) {
+    if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
+    if (sched.aborted()) throw detail::ClusterAborted();
+    auto best = scan();
+    if (best == box.end()) {
+      sched.block(ctx_->grank, ctx_->vt);
+      continue;
     }
+    const double commit = std::max(ctx_->vt, best->msg.arrival);
+    if (sched.ready_below(commit)) {
+      sched.yield(ctx_->grank, commit);
+      continue;  // an earlier message may have been queued meanwhile
+    }
+    return take(best);
   }
-
-  if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
-  std::unique_lock<std::mutex> lk(box.mu);
-  std::deque<detail::Envelope>::iterator best = box.q.end();
-  group_->cluster()->blocking_wait(lk, box.cv, ctx_->grank, [&] {
-    if (group_->revoked()) return true;
-    best = scan();
-    return best != box.q.end();
-  });
-  if (best == box.q.end()) {
-    lk.unlock();
-    group_->throw_revoked(ctx_->grank, ctx_->vt);
-  }
-  return take(best);
 }
 
 bool Comm::probe(int src, int tag) {
-  detail::Mailbox& box = ctx_->mailbox;
   auto scan = [&] {
-    std::lock_guard<std::mutex> lk(box.mu);
-    for (const auto& e : box.q) {
+    for (const auto& e : ctx_->mailbox) {
       if (e.ctx == group_->ctx() && (src == kAnySource || e.msg.src == src) &&
           (tag == kAnyTag || e.msg.tag == tag)) {
         return true;
@@ -2090,14 +1904,11 @@ bool Comm::probe(int src, int tag) {
     return false;
   };
   if (scan()) return true;
-  // Deterministic mode: a miss yields the token at an infinite key so
-  // probe-spin loops make progress (everyone else runs first), then
-  // rescans — without this a spinning rank would hold the token forever.
-  if (detail::Scheduler* sched = group_->cluster()->sched()) {
-    sched->yield(ctx_->grank, std::numeric_limits<double>::infinity());
-    return scan();
-  }
-  return false;
+  // A miss yields at an infinite key so probe-spin loops make progress
+  // (everyone else runs first), then rescans — without this a spinning
+  // rank would keep the run forever.
+  group_->cluster()->sched().yield(ctx_->grank, std::numeric_limits<double>::infinity());
+  return scan();
 }
 
 void Comm::barrier(TimeCategory cat) {
@@ -2247,7 +2058,6 @@ Comm Comm::split(int color, int key) {
           for (const int r : ranks) globals.push_back(group->global_rank(r));
           auto g = std::make_shared<detail::CommGroup>(
               group->cluster(), group->cluster()->next_ctx(), std::move(globals));
-          group->cluster()->register_group(g);
           for (size_t i = 0; i < ranks.size(); ++i) {
             slot.split_groups[static_cast<size_t>(ranks[i])] = g;
             slot.split_rank[static_cast<size_t>(ranks[i])] = static_cast<int>(i);
@@ -2268,21 +2078,13 @@ void Comm::revoke(TimeCategory cat) {
   // overhead, synchronizes nothing.
   ctx_->advance_traced(machine().mpi_overhead, cat, TraceEventKind::kAdvance);
   group_->set_revoked();
-  cluster->bump_progress();
-  // Wake every member parked on this communicator (mailbox recv waits,
-  // collective waits, scheduler blocks) so pending operations fail now
-  // rather than at their next natural wakeup.
+  // Wake every member parked on this communicator (receives and collective
+  // waits) so pending operations fail now rather than at their next
+  // natural wakeup.
   for (int r = 0; r < group_->size(); ++r) {
     const int g = group_->global_rank(r);
-    if (g == ctx_->grank) continue;
-    detail::Mailbox& box = cluster->rank(g).mailbox;
-    {
-      std::lock_guard<std::mutex> lk(box.mu);  // no waiter may miss the flag
-      box.cv.notify_all();
-    }
-    if (detail::Scheduler* sched = cluster->sched()) sched->wake(g);
+    if (g != ctx_->grank) cluster->sched().wake(g);
   }
-  group_->wake_all();
 }
 
 bool Comm::revoked() const { return group_->revoked(); }
@@ -2377,7 +2179,6 @@ Comm Comm::shrink(const std::vector<int>& failed, TimeCategory cat) {
         for (const int r : survivors) globals.push_back(group->global_rank(r));
         auto g = std::make_shared<detail::CommGroup>(
             group->cluster(), group->cluster()->next_ctx(), std::move(globals));
-        group->cluster()->register_group(g);
         for (size_t i = 0; i < survivors.size(); ++i) {
           slot.split_groups[static_cast<size_t>(survivors[i])] = g;
           slot.split_rank[static_cast<size_t>(survivors[i])] = static_cast<int>(i);
@@ -2682,16 +2483,8 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
                                   std::exception_ptr* err_out) {
   if (nranks <= 0) throw std::invalid_argument("Cluster::run: nranks must be positive");
   // Schedule-exploration knobs are rejected with structured errors before
-  // any thread spawns: an invalid combination is a caller bug, never a
-  // modeled fault (docs/TESTING.md).
-  if (!opts.deterministic && opts.schedule != SchedulePolicy::kFifo) {
-    throw std::invalid_argument(
-        "Cluster::run: SchedulePolicy exploration requires deterministic mode");
-  }
-  if (!opts.deterministic && opts.replay_schedule != nullptr) {
-    throw std::invalid_argument(
-        "Cluster::run: schedule replay requires deterministic mode");
-  }
+  // any rank runs: an invalid combination is a caller bug, never a modeled
+  // fault (docs/TESTING.md).
   if (opts.priority_points < 0) {
     throw std::invalid_argument("Cluster::run: priority_points must be >= 0");
   }
@@ -2718,46 +2511,28 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
   for (int r = 0; r < nranks; ++r) globals[static_cast<size_t>(r)] = r;
   auto world =
       std::make_shared<detail::CommGroup>(&state, state.next_ctx(), std::move(globals));
-  state.register_group(world);
 
   std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&, r] {
-      Comm comm(world, r, &state.rank(r));
-      detail::Scheduler* sched = state.sched();
-      try {
-        if (sched) sched->start(r);
-        rank_fn(comm);
-        if (sched) sched->finish(r);
-      } catch (const detail::ClusterAborted&) {
-        // Secondary casualty of another rank's failure; the original
-        // exception is already recorded.
-      } catch (const detail::SchedulerDeadlock&) {
-        // The deterministic scheduler proved no rank can make progress and
-        // recorded the report at detection time (before the parked ranks'
-        // wait state unwound); every casualty rank lands here.
-        FaultReport rep = state.recorded_fault_or_report(r);
-        {
-          std::lock_guard<std::mutex> lk(error_mu);
-          if (!first_error) {
-            first_error = std::make_exception_ptr(FaultError(std::move(rep)));
-          }
-        }
-        state.abort();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lk(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-        state.abort();
+  state.sched().run([&](int r) {
+    Comm comm(world, r, &state.rank(r));
+    try {
+      rank_fn(comm);
+    } catch (const detail::ClusterAborted&) {
+      // Secondary casualty of another rank's failure; the original
+      // exception is already recorded.
+    } catch (const detail::SchedulerDeadlock&) {
+      // The scheduler proved no rank can make progress and recorded the
+      // report at detection time (before the parked ranks' wait state
+      // unwound); every parked rank lands here.
+      if (!first_error) {
+        first_error = std::make_exception_ptr(FaultError(state.deadlock_report()));
       }
-      state.rank_done();
-    });
-  }
-  for (auto& t : threads) t.join();
+      state.abort();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+      state.abort();
+    }
+  });
 
   Cluster::Result res;
   res.ranks.resize(static_cast<size_t>(nranks));
@@ -2776,7 +2551,7 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
       out.bytes[c] = state.rank(r).bytes[c];
     }
   }
-  if (state.sched() != nullptr) res.schedule = state.sched()->certificate();
+  res.schedule = state.sched().certificate();
   if (opts.trace && !first_error) {
     std::vector<RankTrace> buffers;
     buffers.reserve(static_cast<size_t>(nranks));
@@ -2804,8 +2579,8 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
   if (first_error) {
     // Attach the flight-recorder dump to a fault-terminated run's report
     // (every FaultError path funnels through here — transport failures,
-    // watchdog deadlocks, vt-limit, crash verdicts). The rings are
-    // quiescent after join; non-fault exceptions pass through untouched.
+    // deadlocks, vt-limit, crash verdicts). Every rank has finished, so the
+    // rings are quiescent; non-fault exceptions pass through untouched.
     try {
       std::rethrow_exception(first_error);
     } catch (const FaultError& fe) {

@@ -3,11 +3,12 @@
 /// \brief In-process message-passing runtime with virtual LogGP clocks.
 ///
 /// This substitutes for MPI + the physical cluster (see DESIGN.md §1).
-/// Every rank is an OS thread; `Comm` exposes MPI-shaped primitives
-/// (send / recv with wildcards / barrier / allreduce / split) with real
-/// message passing through per-rank mailboxes, so distributed algorithms
-/// are written exactly as they would be against MPI and their *functional*
-/// behaviour (message counts, DAG traversal, data movement) is real.
+/// Every rank is a fiber with its own stack, run on the thread that called
+/// `Cluster::run`; `Comm` exposes MPI-shaped primitives (send / recv with
+/// wildcards / barrier / allreduce / split) with real message passing
+/// through per-rank mailboxes, so distributed algorithms are written
+/// exactly as they would be against MPI and their *functional* behaviour
+/// (message counts, DAG traversal, data movement) is real.
 ///
 /// Performance is modeled, not measured: each rank carries a virtual clock.
 /// Compute advances it by flops/rate; a send costs the sender its software
@@ -15,16 +16,14 @@
 /// a receive advances the receiver to `max(own_vt, arrival)`. The reported
 /// solve time of a run is the maximum clock over ranks (modeled makespan).
 ///
-/// Two scheduling modes (selected by RunOptions, see docs/DETERMINISM.md):
-///  - Free-running (default): ranks execute concurrently; a wildcard
-///    receive takes the earliest virtual arrival among *queued* messages,
-///    so OS scheduling can perturb which message wins and makespans carry
-///    a small run-to-run jitter. Fastest; fine for exploratory sweeps.
-///  - Deterministic: ranks hand off a run token in virtual-time order via a
-///    sequenced condition-variable protocol. A receive only commits to a
-///    queued message once no runnable rank could still produce an earlier
-///    virtual arrival, so makespans, per-category breakdowns and message
-///    counts are bit-reproducible across runs and machines.
+/// Execution is deterministic (docs/DETERMINISM.md): one fiber runs at a
+/// time, and at every blocking point a scheduler grants the next one in
+/// virtual-time order. A receive only commits to a queued message once no
+/// runnable rank could still produce an earlier virtual arrival, so
+/// makespans, per-category breakdowns and message counts are
+/// bit-reproducible across runs and machines. Because the scheduler sees
+/// every rank's state, deadlock detection is exact: a run in which no rank
+/// can run and some rank waits ends with a FaultReport, never a hang.
 ///
 /// Time is attributed to the paper's breakdown categories (FP operation,
 /// XY/intra-grid communication, Z/inter-grid communication; Fig 5-6),
@@ -49,8 +48,8 @@ namespace sptrsv {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
-/// Grant-order policy for the deterministic scheduler. Every policy keeps
-/// the commit fence of docs/DETERMINISM.md intact — a wildcard receive
+/// Grant-order policy for the rank scheduler. Every policy keeps the commit
+/// fence of docs/DETERMINISM.md intact — a wildcard receive
 /// still only commits once no runnable rank could produce an earlier
 /// arrival — so clocks, counters and fingerprints must be *identical*
 /// across policies; the policies only permute which legal interleaving is
@@ -74,15 +73,15 @@ enum class SchedulePolicy {
 /// "delay_bounded").
 const char* schedule_policy_name(SchedulePolicy p);
 
-/// Compact replayable record of every grant decision a deterministic run
-/// made. `(policy, seed, grants)` pins the interleaving exactly: replaying
-/// it (RunOptions::replay_schedule) reproduces the run bit-for-bit,
-/// including every wildcard tie-break, without re-deriving the policy's
-/// choices. Serializes to one text line for bug reports.
+/// Compact replayable record of every grant decision a run made.
+/// `(policy, seed, grants)` pins the interleaving exactly: replaying it
+/// (RunOptions::replay_schedule) reproduces the run bit-for-bit, including
+/// every wildcard tie-break, without re-deriving the policy's choices.
+/// Serializes to one text line for bug reports.
 struct ScheduleCertificate {
   SchedulePolicy policy = SchedulePolicy::kFifo;
   std::uint64_t seed = 0;
-  /// Rank granted the token at each scheduler decision, in order.
+  /// Rank granted at each scheduler decision, in order.
   std::vector<std::int32_t> grants;
 
   /// One line: "<policy> <seed> <n> <g0> <g1> ...".
@@ -93,9 +92,9 @@ struct ScheduleCertificate {
 
 /// Per-run scheduling options for Cluster::run.
 struct RunOptions {
-  /// Serialize rank execution behind a virtual-time-ordered token so the
-  /// whole run (makespan, breakdowns, message counts) is bit-reproducible.
-  bool deterministic = false;
+  /// Ignored. Execution is always deterministic; the field remains so that
+  /// existing callers that set it still compile.
+  bool deterministic = true;
   /// Seed for MachineModel::perturb draws. A given (machine, seed) pair
   /// yields the same perturbations in every run; ignored when the machine's
   /// perturbation model is inactive.
@@ -104,20 +103,16 @@ struct RunOptions {
   /// publish it as Cluster::Result::trace. Recording never changes modeled
   /// results — clock math is identical with tracing on or off.
   bool trace = false;
-  /// Convert would-be infinite hangs (a receive no send will ever match, a
-  /// collective a dead rank never joins) into a structured FaultReport
-  /// (docs/ROBUSTNESS.md). In deterministic mode detection is exact (the
-  /// scheduler sees the global blocked state); in free-running mode a
-  /// quiescence watchdog declares after the whole cluster sits blocked with
-  /// no progress for a real-time patience window.
+  /// Ignored. Deadlock detection is exact and always on: a receive no send
+  /// will ever match, or a collective a rank never joins, ends the run with
+  /// a structured FaultReport (docs/ROBUSTNESS.md). The field remains so
+  /// that existing callers that set it still compile.
   bool watchdog = true;
   /// Abort with FaultKind::kVtLimit once any rank's clean virtual clock
   /// passes this bound (infinity = unlimited). A cheap guard against
   /// runaway modeled time under pathological fault schedules.
   double vt_limit = std::numeric_limits<double>::infinity();
-  /// Grant-order exploration policy (deterministic mode only; any other
-  /// value than kFifo with deterministic == false throws
-  /// std::invalid_argument). See docs/TESTING.md.
+  /// Grant-order exploration policy. See docs/TESTING.md.
   SchedulePolicy schedule = SchedulePolicy::kFifo;
   /// Seed for the schedule policy's choices. Independent of `seed` (the
   /// fault/perturbation stream) so schedules can be swept without touching
@@ -131,9 +126,9 @@ struct RunOptions {
   /// be >= 0.
   int delay_budget = 8;
   /// Replay a recorded certificate instead of running a policy (the
-  /// certificate's policy/seed take precedence over the fields above).
-  /// Deterministic mode only; the pointed-to certificate must outlive the
-  /// run. Grants out of range for `nranks` throw std::invalid_argument.
+  /// certificate's policy/seed take precedence over the fields above). The
+  /// pointed-to certificate must outlive the run. Grants out of range for
+  /// `nranks` throw std::invalid_argument.
   const ScheduleCertificate* replay_schedule = nullptr;
   /// Maintain the per-rank MetricsRegistry (docs/OBSERVABILITY.md §Metrics)
   /// and publish the merged MetricsReport as Cluster::Result::metrics.
@@ -143,7 +138,7 @@ struct RunOptions {
   /// Virtual-time sampling period (seconds on the modeled clock) for the
   /// metrics time series; 0 = no series, final snapshot only. Requires
   /// `metrics`; samples land on the fixed grid k * metrics_period, so the
-  /// series is schedule- and thread-timing-independent.
+  /// series is schedule-independent.
   double metrics_period = 0.0;
   /// Checksum-augmented (ABFT) solves: verify a running checksum of the
   /// registered solver state at every checkpoint_epoch, localize and
@@ -441,9 +436,10 @@ struct Spread {
 /// Summarizes one value per rank into a Spread.
 Spread spread_over(std::span<const double> values);
 
-/// Spawns `nranks` rank threads, runs `rank_fn` on each, joins, and returns
-/// the virtual-clock statistics. Exceptions thrown by any rank are
-/// rethrown (first one wins) after all threads have been joined.
+/// Runs `rank_fn` on `nranks` rank fibers and returns the virtual-clock
+/// statistics. An exception thrown by any rank aborts the run: every other
+/// rank unwinds from its blocking point, and the first exception is
+/// rethrown once all ranks have finished.
 class Cluster {
  public:
   struct Result {
@@ -455,10 +451,9 @@ class Cluster {
     FaultReport fault;
     /// First error message of a failed try_run ("" on success).
     std::string error;
-    /// Grant-decision record of a deterministic run (empty grants
-    /// otherwise). Feed it back through RunOptions::replay_schedule to
-    /// reproduce this exact interleaving — docs/TESTING.md shows the
-    /// one-liner.
+    /// Grant-decision record of the run. Feed it back through
+    /// RunOptions::replay_schedule to reproduce this exact interleaving —
+    /// docs/TESTING.md shows the one-liner.
     ScheduleCertificate schedule;
     /// Merged per-rank metrics; non-null iff RunOptions::metrics was set.
     /// Built even for a faulted run (the counters up to the abort are the
@@ -516,8 +511,10 @@ class Cluster {
     std::uint64_t fault_fingerprint() const;
   };
 
-  /// Runs `rank_fn(comm)` on every rank of a world of size `nranks`.
-  /// A rank's exception (including FaultError) is rethrown after join.
+  /// Runs `rank_fn(comm)` on every rank of a world of size `nranks`, each
+  /// rank a fiber with its own guard-paged stack, all on the calling
+  /// thread. A rank's exception (including FaultError) is rethrown after
+  /// every rank has unwound; the fiber stacks are released before return.
   static Result run(int nranks, const MachineModel& machine,
                     const std::function<void(Comm&)>& rank_fn,
                     const RunOptions& opts = {});

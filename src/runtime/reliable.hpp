@@ -11,8 +11,8 @@
 /// receiver-side duplicate suppression. The protocol is simulated
 /// *analytically* at send time (simulate_transport): the sequence of frame
 /// fates is a pure counter-based function of (seed, sender rank, fault draw
-/// index), so a fault schedule replays exactly and is independent of thread
-/// scheduling.
+/// index), so a fault schedule replays exactly and is independent of the
+/// grant order.
 ///
 /// Two-ledger accounting is the load-bearing invariant: the clean virtual
 /// clock, category times and message/byte counters — everything behind
@@ -24,8 +24,8 @@
 /// A message the protocol cannot deliver (retry budget exhausted, permanent
 /// rank stall) surfaces as a structured FaultError at the blocking receive,
 /// naming rank, peer, tag and retry count — never as a hung run. The
-/// virtual-clock watchdog in the cluster runtime covers the remaining hang
-/// class (a receive no send will ever match) the same way.
+/// runtime's exact deadlock detection covers the remaining hang class (a
+/// receive no send will ever match) the same way.
 
 #include <cstdint>
 #include <span>
@@ -92,7 +92,7 @@ enum class FaultKind : int {
   kNone = 0,
   kRetriesExhausted,  ///< transport gave up on a message (loss too heavy)
   kRankStalled,       ///< permanent rank stall swallowed every attempt
-  kDeadlock,          ///< watchdog: every live rank blocked, nothing in flight
+  kDeadlock,          ///< no rank can run and some rank waits (exact)
   kVtLimit,           ///< virtual clock passed RunOptions::vt_limit
   kRevoked,           ///< operation on a communicator revoked after a crash
   kBuddyLoss,         ///< crashed rank and its checkpoint buddy both died
@@ -128,8 +128,8 @@ struct FaultReport {
   std::string to_string() const;
 };
 
-/// Exception carrying a FaultReport; thrown at the blocking receive (or by
-/// the watchdog) and surfaced through Cluster::run / try_run.
+/// Exception carrying a FaultReport; thrown at the blocking receive (or on
+/// a proven deadlock) and surfaced through Cluster::run / try_run.
 struct FaultError : std::runtime_error {
   explicit FaultError(FaultReport r);
   FaultReport report;

@@ -103,7 +103,7 @@ TEST(Integration, GpuCpuBackendAgreesWithThreadedSolver) {
 }
 
 TEST(Integration, LargeRankCountSmoke) {
-  // 512 rank threads end-to-end (benches go to 2048).
+  // 512 rank fibers end-to-end (benches go to 2048).
   const CsrMatrix a = make_grid2d(24, 24, Stencil2d::kFivePoint);
   const FactoredSystem fs = analyze_and_factor(a, 3);
   SolveConfig cfg;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 
 #include "runtime/cluster.hpp"
 #include "test_support.hpp"
@@ -258,8 +259,57 @@ TEST(Runtime, ExceptionInCollectiveUnblocksPeers) {
                std::logic_error);
 }
 
+TEST(Runtime, AbortUnwindsEveryParkedFiber) {
+  // Rank 0 throws once every other rank has checked in and parked in a
+  // receive no one will satisfy. Each parked fiber must be resumed to
+  // unwind its own stack (the RAII counter), the original exception must
+  // surface, and a second run in the same process must start clean.
+  const int P = 2048;
+  int unwound = 0;
+  struct Unwound {
+    int& n;
+    ~Unwound() { ++n; }
+  };
+  try {
+    Cluster::run(P, test_machine(), [&](Comm& c) {
+      const Unwound guard{unwound};
+      if (c.rank() == 0) {
+        for (int i = 1; i < c.size(); ++i) c.recv(kAnySource, /*tag=*/1);
+        throw std::runtime_error("rank 0 failed");
+      }
+      c.send(0, /*tag=*/1, {1.0});
+      c.recv(0, /*tag=*/2);  // never sent
+      ADD_FAILURE() << "rank " << c.rank() << " received a message never sent";
+    });
+    FAIL() << "Cluster::run swallowed rank 0's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 0 failed");
+  }
+  EXPECT_EQ(unwound, P);
+  const auto res = Cluster::run(P, test_machine(), [](Comm& c) { c.barrier(); });
+  EXPECT_EQ(res.ranks.size(), static_cast<size_t>(P));
+}
+
+TEST(Runtime, CatchBlocksSurviveFiberSwitches) {
+  // Every rank parks inside its own catch block; the exception it is
+  // handling must still be its own when it resumes.
+  Cluster::run(4, test_machine(), [](Comm& c) {
+    const std::string mine = "rank " + std::to_string(c.rank());
+    try {
+      throw std::runtime_error(mine);
+    } catch (const std::runtime_error&) {
+      c.barrier();
+      try {
+        throw;
+      } catch (const std::runtime_error& again) {
+        EXPECT_EQ(again.what(), mine);
+      }
+    }
+  });
+}
+
 TEST(Runtime, ManyRanksScale) {
-  // Smoke test that a few hundred rank threads work (benches use 2048).
+  // Worlds of a few hundred ranks (the benches use 2048), and P = 16384.
   const int P = 256;
   const auto res = Cluster::run(P, test_machine(), [](Comm& c) {
     const auto s = c.allreduce_sum(std::vector<Real>{1.0}, TimeCategory::kOther);
@@ -267,6 +317,19 @@ TEST(Runtime, ManyRanksScale) {
     c.barrier();
   });
   EXPECT_EQ(res.ranks.size(), 256u);
+
+  const int big = 16384;
+  const auto ring = Cluster::run(big, test_machine(), [](Comm& c) {
+    const int me = c.rank(), p = c.size();
+    c.send((me + 1) % p, /*tag=*/0, {static_cast<Real>(me)});
+    const Message m = c.recv((me + p - 1) % p, /*tag=*/0);
+    EXPECT_EQ(m.data.at(0), static_cast<Real>((me + p - 1) % p));
+    c.barrier();
+  });
+  ASSERT_EQ(ring.ranks.size(), static_cast<size_t>(big));
+  for (const RankStats& r : ring.ranks) {
+    EXPECT_EQ(r.messages[static_cast<int>(TimeCategory::kOther)], 1 + 2 * 14);
+  }
 }
 
 TEST(Runtime, StatsAggregations) {

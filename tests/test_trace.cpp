@@ -25,7 +25,7 @@ using test::random_system;
 using test::stats_identical;
 using test::test_machine;
 
-constexpr RunOptions kDetTraced{.deterministic = true, .seed = 0, .trace = true};
+constexpr RunOptions kDetTraced{.seed = 0, .trace = true};
 
 DistSolveOutcome solve_traced(const test::RandomSystem& sys, Algorithm3d alg,
                               const std::vector<Real>& b) {
@@ -48,7 +48,7 @@ TEST(TraceOverhead, OffByDefaultAndTimingInvariant) {
   SolveConfig cfg;
   cfg.shape = sys.shape;
   cfg.nrhs = sys.nrhs;
-  cfg.run = RunOptions{.deterministic = true};
+  cfg.run = RunOptions{};
   const auto plain = solve_system_3d(sys.fs, b, cfg, test_machine());
   EXPECT_EQ(plain.run_stats.trace, nullptr) << "trace recorded without opt-in";
 
@@ -306,7 +306,7 @@ TEST(TraceAnalysis, SpreadDegenerateInputs) {
 
   // A zero-work cluster run reports the same degenerate spreads.
   const auto res = Cluster::run(1, test_machine(), [](Comm&) {},
-                                RunOptions{.deterministic = true});
+                                RunOptions{});
   EXPECT_DOUBLE_EQ(res.vtime_spread().imbalance(), 0.0);
   EXPECT_DOUBLE_EQ(res.category_spread(TimeCategory::kFp).max, 0.0);
 }
@@ -325,7 +325,7 @@ TEST(TraceAnalysis, SpreadHelpers) {
   const auto res = Cluster::run(
       4, test_machine(),
       [](Comm& c) { c.compute(1e6 * (c.rank() + 1)); },
-      RunOptions{.deterministic = true});
+      RunOptions{});
   const Spread fp = res.category_spread(TimeCategory::kFp);
   EXPECT_GT(fp.max, fp.min);
   EXPECT_DOUBLE_EQ(res.vtime_spread().max, res.makespan());
