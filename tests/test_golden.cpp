@@ -18,10 +18,12 @@ namespace {
 /// Golden-fingerprint corpus: the clean-ledger fingerprint of a 2x2x2
 /// deterministic solve of every Table-1 matrix, for both 3D algorithms,
 /// two perturbation seeds, and two ABFT-armed variants (fault-free and
-/// seeded-SDC), pinned in tests/golden_fingerprints.txt. Any
+/// seeded-SDC), pinned in tests/golden_fingerprints.txt, plus the
+/// fault_fingerprint of one run per fault class. Any
 /// drift — a clock-model change, a reordered reduction, a perturbation
-/// stream change — fails here with the exact (matrix, algorithm, seed)
-/// that moved. Intentional changes regenerate the corpus:
+/// stream change, a fault-ledger field that moved — fails here with the
+/// exact (matrix, algorithm, seed) that moved. Intentional changes
+/// regenerate the corpus:
 ///
 ///   SPTRSV_GOLDEN_REGEN=tests/golden_fingerprints.txt ./build/tests/test_golden
 ///
@@ -36,7 +38,7 @@ std::string fp_hex(std::uint64_t fp) {
   return os.str();
 }
 
-/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 72
+/// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 132
 /// corpus entries, computed fresh. Seed tokens "0"/"1" are plain perturbed
 /// solves; "abft0" is the same seed-0 solve with ABFT armed and no faults,
 /// "sdc0" is seed 0 with ABFT armed over an aggressive memory-fault rate,
@@ -47,8 +49,18 @@ std::string fp_hex(std::uint64_t fp) {
 /// pins the docs/ROBUSTNESS.md contract that verification, correction,
 /// shrink-and-redistribute recovery and elastic re-expansion never touch
 /// the clean ledger.
+///
+/// Tokens "fault:<class>" pin the fault ledger itself: the
+/// fault_fingerprint of the sdc0, degrade0 and elastic0 runs, of "drop0"
+/// (seed 0 over a 5% frame-drop network) and of "crash0" (seed 0 with one
+/// scheduled rank death absorbed by a spare). The drop0 and crash0 runs
+/// must also reproduce the plain "0" row's clean fingerprint.
 std::map<std::string, std::string> compute_corpus() {
   std::map<std::string, std::string> out;
+  auto record_fault = [&out](const std::string& base, const char* token,
+                             const DistSolveOutcome& res) {
+    out[base + " fault:" + token] = fp_hex(res.run_stats.fault_fingerprint());
+  };
   for (const PaperMatrix pm : all_paper_matrices()) {
     const CsrMatrix a = make_paper_matrix(pm, MatrixScale::kTiny);
     const FactoredSystem fs = analyze_and_factor(a, 3);
@@ -84,6 +96,7 @@ std::map<std::string, std::string> compute_corpus() {
         EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
             << key << ": ABFT-corrected fingerprint drifted from the clean row";
         out[key] = fp_hex(res.run_stats.fingerprint());
+        if (faulted) record_fault(base, "sdc0", res);
       }
       {
         // Elastic degradation row: a mid-solve death with no spares left,
@@ -104,6 +117,7 @@ std::map<std::string, std::string> compute_corpus() {
         EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
             << key << ": degraded fingerprint drifted from the clean row";
         out[key] = fp_hex(res.run_stats.fingerprint());
+        record_fault(base, "degrade0", res);
       }
       {
         // Elastic re-expansion row: the same spare-less death, but the
@@ -126,6 +140,38 @@ std::map<std::string, std::string> compute_corpus() {
         EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
             << key << ": elastic fingerprint drifted from the clean row";
         out[key] = fp_hex(res.run_stats.fingerprint());
+        record_fault(base, "elastic0", res);
+      }
+      {
+        // Lossy-network row: the reliable transport absorbs every drop.
+        SolveConfig cfg;
+        cfg.shape = {2, 2, 2};
+        cfg.algorithm = alg;
+        cfg.run = RunOptions{.seed = 0};
+        MachineModel machine = test::perturbed_machine();
+        machine.perturb.drop_prob = 0.05;
+        const DistSolveOutcome res = solve_system_3d(fs, b, cfg, machine);
+        EXPECT_GT(res.run_stats.transport_totals().retransmits, 0)
+            << base << " drop0: no frame was ever retransmitted";
+        EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
+            << base << " drop0: lossy fingerprint drifted from the clean row";
+        record_fault(base, "drop0", res);
+      }
+      {
+        // Spare-adoption row: one mid-solve death, restored from the buddy
+        // checkpoint onto a spare.
+        SolveConfig cfg;
+        cfg.shape = {2, 2, 2};
+        cfg.algorithm = alg;
+        cfg.run = RunOptions{.seed = 0};
+        MachineModel machine = test::perturbed_machine();
+        machine.perturb.crashes.push_back({1, 1e-5});
+        const DistSolveOutcome res = solve_system_3d(fs, b, cfg, machine);
+        EXPECT_EQ(res.run_stats.recovery_stats().spares_used, 1)
+            << base << " crash0: the scheduled crash was not absorbed by a spare";
+        EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
+            << base << " crash0: recovered fingerprint drifted from the clean row";
+        record_fault(base, "crash0", res);
       }
     }
   }
@@ -141,6 +187,8 @@ TEST(GoldenFingerprints, MatchCorpus) {
     ASSERT_TRUE(out) << "cannot write " << regen;
     out << "# Golden clean-ledger fingerprints (tests/test_golden.cpp).\n"
         << "# <matrix> <algorithm> <seed-token: 0|1|abft0|sdc0|degrade0|elastic0> <fingerprint>\n"
+        << "# Fault-ledger rows: <matrix> <algorithm> fault:<sdc0|degrade0|elastic0|drop0|crash0> "
+           "<fault_fingerprint>\n"
         << "# Regenerate: SPTRSV_GOLDEN_REGEN=<path> ./build/tests/test_golden\n";
     for (const auto& [key, fp] : computed) out << key << " " << fp << "\n";
     GTEST_SKIP() << "regenerated " << computed.size() << " entries into " << regen;
