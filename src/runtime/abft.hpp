@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "runtime/ledger.hpp"
 #include "runtime/perturbation.hpp"
 
 namespace sptrsv {
@@ -71,26 +72,31 @@ struct SdcStats {
   double repair_time = 0.0;          ///< recompute + escalation time
   double residual_time = 0.0;        ///< end-of-solve residual check time
 
-  SdcStats& operator+=(const SdcStats& o) {
-    injected += o.injected;
-    detected += o.detected;
-    corrected += o.corrected;
-    escalated += o.escalated;
-    checks += o.checks;
-    residual_checks += o.residual_checks;
-    refine_iters += o.refine_iters;
-    for (int t = 0; t < 3; ++t) {
-      injected_by[t] += o.injected_by[t];
-      corrected_by[t] += o.corrected_by[t];
-    }
-    verify_time += o.verify_time;
-    repair_time += o.repair_time;
-    residual_time += o.residual_time;
-    return *this;
-  }
+  /// ledger.hpp. The per-target counts are listed interleaved (injected,
+  /// then corrected, per target): fault_fingerprint mixes in table order.
+  static const LedgerField kFields[];
   bool any() const {
     return injected != 0 || detected != 0 || checks != 0 || residual_checks != 0;
   }
+};
+
+inline constexpr LedgerField SdcStats::kFields[] = {
+    {offsetof(SdcStats, injected), LedgerField::kCount, "abft.injected"},
+    {offsetof(SdcStats, detected), LedgerField::kCount, "abft.detected"},
+    {offsetof(SdcStats, corrected), LedgerField::kCount, "abft.corrected"},
+    {offsetof(SdcStats, escalated), LedgerField::kCount, nullptr},
+    {offsetof(SdcStats, checks), LedgerField::kCount, "abft.checks"},
+    {offsetof(SdcStats, residual_checks), LedgerField::kCount, nullptr},
+    {offsetof(SdcStats, refine_iters), LedgerField::kCount, nullptr},
+    {offsetof(SdcStats, injected_by[0]), LedgerField::kCount, "abft.injected.x"},
+    {offsetof(SdcStats, corrected_by[0]), LedgerField::kCount, "abft.corrected.x"},
+    {offsetof(SdcStats, injected_by[1]), LedgerField::kCount, "abft.injected.l"},
+    {offsetof(SdcStats, corrected_by[1]), LedgerField::kCount, "abft.corrected.l"},
+    {offsetof(SdcStats, injected_by[2]), LedgerField::kCount, "abft.injected.partial"},
+    {offsetof(SdcStats, corrected_by[2]), LedgerField::kCount, "abft.corrected.partial"},
+    {offsetof(SdcStats, verify_time), LedgerField::kTime, nullptr},
+    {offsetof(SdcStats, repair_time), LedgerField::kTime, nullptr},
+    {offsetof(SdcStats, residual_time), LedgerField::kTime, nullptr},
 };
 
 /// One planned memory fault at a rank, with every random choice predrawn so

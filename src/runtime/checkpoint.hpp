@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/ledger.hpp"
 #include "runtime/perturbation.hpp"
 #include "runtime/reliable.hpp"
 #include "sparse/types.hpp"
@@ -96,21 +97,23 @@ struct RecoveryStats {
   double replay_time = 0.0;          ///< recomputed progress since last epoch
   double checkpoint_time = 0.0;      ///< epoch capture + shipment time
 
-  RecoveryStats& operator+=(const RecoveryStats& o) {
-    crashes += o.crashes;
-    checkpoints += o.checkpoints;
-    checkpoint_bytes += o.checkpoint_bytes;
-    restores += o.restores;
-    spares_used += o.spares_used;
-    image_rejects += o.image_rejects;
-    detect_time += o.detect_time;
-    repair_time += o.repair_time;
-    restore_time += o.restore_time;
-    replay_time += o.replay_time;
-    checkpoint_time += o.checkpoint_time;
-    return *this;
-  }
+  static const LedgerField kFields[];  ///< ledger.hpp
   bool any() const { return crashes != 0 || checkpoints != 0; }
+};
+
+inline constexpr LedgerField RecoveryStats::kFields[] = {
+    {offsetof(RecoveryStats, crashes), LedgerField::kCount, "recovery.crashes"},
+    {offsetof(RecoveryStats, checkpoints), LedgerField::kCount, "checkpoint.epochs"},
+    {offsetof(RecoveryStats, checkpoint_bytes), LedgerField::kCount, "checkpoint.bytes"},
+    {offsetof(RecoveryStats, restores), LedgerField::kCount, nullptr},
+    {offsetof(RecoveryStats, spares_used), LedgerField::kCount, nullptr},
+    {offsetof(RecoveryStats, image_rejects), LedgerField::kCount,
+     "recovery.image_rejects"},
+    {offsetof(RecoveryStats, detect_time), LedgerField::kTime, nullptr},
+    {offsetof(RecoveryStats, repair_time), LedgerField::kTime, nullptr},
+    {offsetof(RecoveryStats, restore_time), LedgerField::kTime, nullptr},
+    {offsetof(RecoveryStats, replay_time), LedgerField::kTime, nullptr},
+    {offsetof(RecoveryStats, checkpoint_time), LedgerField::kTime, nullptr},
 };
 
 /// Per-rank graceful-degradation ledger (RunOptions::degrade): shrink,
@@ -127,25 +130,31 @@ struct DegradationStats {
   double redistribute_time = 0.0;      ///< buddy-image wire time to the adopter
   double replay_time = 0.0;            ///< replayed progress since the last epoch
   double overload_time = 0.0;          ///< extra compute from hosting >1 partition
-  /// Peak post-shrink overload multiplier this partition ran under (1.0 =
-  /// never overloaded). Merged with max semantics, not summed: the cluster
-  /// total reports the worst multiplier any partition saw.
+  /// Peak post-shrink overload multiplier this partition ran under: 0.0
+  /// until a degrade event reaches it, then the largest multiplier seen
+  /// (1.0 = hosting only itself). Merged with max semantics, not summed:
+  /// the cluster total reports the worst multiplier any partition saw.
   double overload_mult = 0.0;
 
-  DegradationStats& operator+=(const DegradationStats& o) {
-    degrades += o.degrades;
-    ranks_lost += o.ranks_lost;
-    partitions_adopted += o.partitions_adopted;
-    redistributed_bytes += o.redistributed_bytes;
-    agree_time += o.agree_time;
-    shrink_time += o.shrink_time;
-    redistribute_time += o.redistribute_time;
-    replay_time += o.replay_time;
-    overload_time += o.overload_time;
-    if (o.overload_mult > overload_mult) overload_mult = o.overload_mult;
-    return *this;
-  }
+  static const LedgerField kFields[];  ///< ledger.hpp
   bool any() const { return degrades != 0 || partitions_adopted != 0; }
+};
+
+inline constexpr LedgerField DegradationStats::kFields[] = {
+    {offsetof(DegradationStats, degrades), LedgerField::kCount,
+     "recovery.degrade.events"},
+    {offsetof(DegradationStats, ranks_lost), LedgerField::kCount,
+     "recovery.degrade.ranks_lost"},
+    {offsetof(DegradationStats, partitions_adopted), LedgerField::kCount,
+     "recovery.degrade.adopted"},
+    {offsetof(DegradationStats, redistributed_bytes), LedgerField::kCount,
+     "recovery.degrade.bytes"},
+    {offsetof(DegradationStats, agree_time), LedgerField::kTime, nullptr},
+    {offsetof(DegradationStats, shrink_time), LedgerField::kTime, nullptr},
+    {offsetof(DegradationStats, redistribute_time), LedgerField::kTime, nullptr},
+    {offsetof(DegradationStats, replay_time), LedgerField::kTime, nullptr},
+    {offsetof(DegradationStats, overload_time), LedgerField::kTime, nullptr},
+    {offsetof(DegradationStats, overload_mult), LedgerField::kPeak, nullptr},
 };
 
 /// Per-rank elasticity ledger (spare returns, world re-expansion, straggler
@@ -166,21 +175,27 @@ struct ElasticityStats {
   double replay_time = 0.0;        ///< replayed progress since the image epoch
   double straggler_time = 0.0;     ///< lag absorbed + mitigation sweeps
 
-  ElasticityStats& operator+=(const ElasticityStats& o) {
-    returns += o.returns;
-    expansions += o.expansions;
-    transfers += o.transfers;
-    transfer_bytes += o.transfer_bytes;
-    stragglers += o.stragglers;
-    rebalances += o.rebalances;
-    agree_time += o.agree_time;
-    expand_time += o.expand_time;
-    transfer_time += o.transfer_time;
-    replay_time += o.replay_time;
-    straggler_time += o.straggler_time;
-    return *this;
-  }
+  static const LedgerField kFields[];  ///< ledger.hpp
   bool any() const { return returns != 0 || stragglers != 0; }
+};
+
+inline constexpr LedgerField ElasticityStats::kFields[] = {
+    {offsetof(ElasticityStats, returns), LedgerField::kCount, "recovery.elastic.returns"},
+    {offsetof(ElasticityStats, expansions), LedgerField::kCount,
+     "recovery.elastic.expansions"},
+    {offsetof(ElasticityStats, transfers), LedgerField::kCount,
+     "recovery.elastic.transfers"},
+    {offsetof(ElasticityStats, transfer_bytes), LedgerField::kCount,
+     "recovery.elastic.bytes"},
+    {offsetof(ElasticityStats, stragglers), LedgerField::kCount,
+     "recovery.straggler.events"},
+    {offsetof(ElasticityStats, rebalances), LedgerField::kCount,
+     "recovery.straggler.rebalances"},
+    {offsetof(ElasticityStats, agree_time), LedgerField::kTime, nullptr},
+    {offsetof(ElasticityStats, expand_time), LedgerField::kTime, nullptr},
+    {offsetof(ElasticityStats, transfer_time), LedgerField::kTime, nullptr},
+    {offsetof(ElasticityStats, replay_time), LedgerField::kTime, nullptr},
+    {offsetof(ElasticityStats, straggler_time), LedgerField::kTime, nullptr},
 };
 
 /// One captured solve-state image, conceptually resident at the owner's

@@ -64,6 +64,12 @@ const char* metric_cat(int c) {
 /// global ranks (powers of two — "how far does traffic travel").
 constexpr double kWaitBounds[] = {1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1};
 constexpr double kPeerDistBounds[] = {0, 1, 2, 4, 8, 16, 32, 64, 128};
+
+/// One synchronizing tree sweep (revoke, shrink or agreement round) among
+/// `n` ranks.
+double sweep_cost(const MachineModel& m, int n) {
+  return 2.0 * log2_ceil(n) * (m.net.latency + m.mpi_overhead);
+}
 }  // namespace
 
 /// A message annotated with the communicator context it was sent on, plus
@@ -104,6 +110,20 @@ struct WaitScope {
   ~WaitScope() { w.kind = 0; }
 };
 
+/// Cursor over one rank's slice of a precomputed fault plan (null events =
+/// none configured). Cursors re-arm with reset_clock: event times are
+/// interpreted on the post-reset clock.
+template <class Event>
+struct PlanCursor {
+  const std::vector<Event>* events = nullptr;
+  std::size_t next = 0;  ///< first unfired event
+  /// True while the next unfired event's time has been reached.
+  bool due(double vt) const {
+    return events != nullptr && next < events->size() && vt >= (*events)[next].vt;
+  }
+  Event pop() { return (*events)[next++]; }
+};
+
 /// Per-rank runtime context (virtual clock + accounting + mailbox).
 struct RankCtx {
   /// Every communicator delivers here; receives filter by (ctx, src, tag).
@@ -117,8 +137,8 @@ struct RankCtx {
   std::uint64_t pseq = 0;        ///< per-message perturbation draw counter
 
   // --- fault ledger (docs/ROBUSTNESS.md) ---
-  double fvt = 0.0;              ///< fault clock: vt + transport recovery delay
-  TransportStats tstats;         ///< reliable-transport counters
+  double fvt = 0.0;              ///< fault clock: vt + every recovery delay
+  FaultLedger ledger;            ///< fault-side counters (write counts via charge)
   std::uint64_t fseq = 0;        ///< fault-draw counter (separate stream from
                                  ///< pseq so adding delivery faults does not
                                  ///< shift the timing draws; never reset)
@@ -147,34 +167,13 @@ struct RankCtx {
     MetricsRegistry::Counter bytes[kNumTimeCategories];
     MetricsRegistry::Histogram wait;       ///< per-receive wait seconds
     MetricsRegistry::Histogram peer_dist;  ///< |dst_grank - src_grank| per send
-    MetricsRegistry::Counter retransmits;
-    MetricsRegistry::Counter timeouts;
-    MetricsRegistry::Counter frames_dropped;
-    MetricsRegistry::Counter acks;
-    MetricsRegistry::Counter duplicates;
-    MetricsRegistry::Counter ckpt_epochs;
-    MetricsRegistry::Counter ckpt_bytes;
-    MetricsRegistry::Counter crashes;
-    MetricsRegistry::Counter recovery_sweeps;
-    MetricsRegistry::Counter abft_checks;
-    MetricsRegistry::Counter abft_injected;
-    MetricsRegistry::Counter abft_detected;
-    MetricsRegistry::Counter abft_corrected;
-    /// Per-target ABFT attribution, indexed by MemFaultTarget (x/l/partial).
-    MetricsRegistry::Counter abft_injected_tgt[3];
-    MetricsRegistry::Counter abft_corrected_tgt[3];
-    MetricsRegistry::Counter image_rejects;
-    MetricsRegistry::Counter degrades;
-    MetricsRegistry::Counter degrade_ranks_lost;
-    MetricsRegistry::Counter degrade_adopted;
-    MetricsRegistry::Counter degrade_bytes;
-    MetricsRegistry::Gauge degrade_overload;
-    MetricsRegistry::Counter elastic_returns;
-    MetricsRegistry::Counter elastic_expansions;
-    MetricsRegistry::Counter elastic_transfers;
-    MetricsRegistry::Counter elastic_bytes;
-    MetricsRegistry::Counter straggler_events;
-    MetricsRegistry::Counter straggler_rebalances;
+    /// Mirror of each ledger count field, indexed by the field's byte
+    /// offset in FaultLedger / 8 (null where the field table names no
+    /// metric). Bumped only by charge().
+    MetricsRegistry::Counter ledger[sizeof(FaultLedger) / 8];
+    MetricsRegistry::Counter sweeps;  ///< ULFM tree sweeps (a cost, no field)
+    /// Live overload multiplier; the ledger keeps the peak.
+    MetricsRegistry::Gauge overload;
   } mh;
 
   // --- flight recorder (always on, allocation-free; dumped into
@@ -209,18 +208,14 @@ struct RankCtx {
 
   // --- crash-stop recovery (docs/ROBUSTNESS.md) ---
   const MachineModel* mach = nullptr;  ///< owning cluster's machine model
-  /// This rank's slice of the crash plan (null = no crash model configured).
-  const std::vector<CrashEvent>* crash_events = nullptr;
-  std::size_t crash_idx = 0;     ///< next unfired crash event (re-armed by
-                                 ///< reset_clock: crash times are interpreted
-                                 ///< on the post-reset clock)
-  /// Monotone sum of every crash delay charged to fvt. The recv/collective
-  /// fault-clock rewrites capture a before/after delta of this to re-apply a
-  /// delay that landed *inside* their own advance (the rewrite would
-  /// otherwise overwrite it); comparing for inequality keeps the no-crash
-  /// arithmetic bitwise untouched.
+  PlanCursor<CrashEvent> crash_plan;  ///< null = no crash model configured
+  /// Monotone sum of every delay fault_delay charged inside advance()
+  /// (crash, degrade and elastic recovery, overload). sync() captures a
+  /// before/after delta of this to re-apply a delay that landed *inside*
+  /// its own advance (the fault-clock rewrite would otherwise overwrite
+  /// it); comparing for inequality keeps the no-fault arithmetic bitwise
+  /// untouched.
   double crash_total = 0.0;
-  RecoveryStats rstats;          ///< crash-recovery ledger (fault side)
   CheckpointStore* ckpt = nullptr;       ///< buddy store (null = crash model off)
   double ulfm_sweep = 0.0;       ///< one modeled revoke/shrink/agree tree sweep
   std::int64_t ckpt_epoch_counter = 0;
@@ -237,37 +232,116 @@ struct RankCtx {
   // --- graceful degradation (docs/ROBUSTNESS.md §Graceful degradation) ---
   bool degrade = false;          ///< RunOptions::degrade
   /// This partition's overload schedule (null = degrade off or never
-  /// overloaded): precomputed DegradeEvents raising the compute multiplier
-  /// when the hosting physical rank adopts extra partitions.
-  const std::vector<DegradeEvent>* degrade_events = nullptr;
-  std::size_t degrade_idx = 0;   ///< next unfired event (re-armed by
-                                 ///< reset_clock like crash_idx)
+  /// overloaded): DegradeEvents raising the compute multiplier when the
+  /// hosting physical rank adopts extra partitions.
+  PlanCursor<DegradeEvent> degrade_plan;
   double degrade_mult = 1.0;     ///< current partitions-per-host multiplier
-  DegradationStats dstats;       ///< degradation ledger (fault side)
 
   // --- silent data corruption + ABFT (docs/ROBUSTNESS.md §SDC) ---
-  /// This rank's slice of the memory-fault plan (null = no SDC schedule).
-  const std::vector<SdcEvent>* sdc_events = nullptr;
-  std::size_t sdc_idx = 0;       ///< next unfired event (re-armed by
-                                 ///< reset_clock: fault times are interpreted
-                                 ///< on the post-reset clock)
+  PlanCursor<SdcEvent> sdc_plan;  ///< null = no SDC schedule
   bool abft = false;             ///< RunOptions::abft
-  SdcStats sdc;                  ///< ABFT/SDC ledger (fault side)
 
   // --- elastic re-expansion + straggler watchdog (docs/ROBUSTNESS.md
   // §Elasticity lifecycle) ---
-  /// This rank's slice of the spare-return schedule (null = no repair knobs,
-  /// degrade off, or every return was inert).
-  const std::vector<ElasticEvent>* elastic_events = nullptr;
-  std::size_t elastic_idx = 0;   ///< next unfired event (re-armed by
-                                 ///< reset_clock like crash_idx)
+  /// Spare-return schedule (null = no repair knobs, degrade off, or every
+  /// return was inert).
+  PlanCursor<ElasticEvent> elastic_plan;
   bool rebalance = false;        ///< RunOptions::rebalance
   /// Progress-watermark watchdog arming: rank-stall schedules configured
   /// AND RecoveryModel::straggler_lag > 0 (never on clean runs — without
   /// stalls the fault clock tracks the clean clock bitwise).
   bool straggler_armed = false;
   double straggle_hwm = 0.0;     ///< high-water mark of fvt − vt at epochs
-  ElasticityStats estats;        ///< elasticity ledger (fault side)
+
+  /// Adds `n` to `field`, a count field of `ledger`, and to the metric
+  /// mirroring it: the one write path for ledger counts, so a mirrored
+  /// metric always equals its field.
+  void charge(std::int64_t& field, std::int64_t n = 1) {
+    field += n;
+    mh.ledger[(reinterpret_cast<char*>(&field) - reinterpret_cast<char*>(&ledger)) / 8]
+        .add(n);
+  }
+
+  /// Puts `s` seconds of recovery delay on the fault clock. A delay that
+  /// lands inside advance() is `echo`ed into crash_total so sync() can
+  /// re-apply it; epoch-boundary charges (checkpoint shipment, ABFT,
+  /// rebalance) run outside any advance and pass echo = false.
+  void fault_delay(double s, bool echo) {
+    fvt += s;
+    if (echo) crash_total += s;
+  }
+
+  /// Advances both clocks to a synchronization point — a receive's
+  /// arrival or a collective's group maximum — plus `cost`. The fault clock
+  /// is rewritten with the mirrored expression against `fault_at` (same
+  /// ops, same order, so fvt == vt bitwise until a fault adds delay); a
+  /// delay that fired inside the advance is re-applied after the rewrite.
+  void sync(double at, double fault_at, double cost, TimeCategory cat) {
+    const double ft0 = fvt;
+    const double c0 = crash_total;
+    advance(std::max(0.0, at - vt) + cost, cat);
+    fvt = ft0;
+    fvt += std::max(0.0, fault_at - ft0) + cost;
+    if (crash_total != c0) fvt += crash_total - c0;
+  }
+
+  /// Trace event of the point-to-point message `env`, sent or received over
+  /// [t0, vt]; `peer` is the global rank at the other end.
+  void trace_message(TraceEventKind kind, TimeCategory cat, double t0, int peer,
+                     const Envelope& env) {
+    if (!tracing) return;
+    TraceEvent e;
+    e.kind = kind;
+    e.cat = cat;
+    e.t0 = t0;
+    e.t1 = vt;
+    e.peer = peer;
+    e.tag = env.msg.tag;
+    e.bytes = static_cast<std::int64_t>(env.msg.data.size() * sizeof(Real));
+    e.arrival = env.msg.arrival;
+    e.seq = env.seq;
+    e.ctx = env.ctx;
+    if (env.transport) {
+      e.retrans = env.transport->attempts - 1;
+      e.fault_arrival = env.fault_arrival;
+    }
+    trace.events.push_back(e);
+  }
+
+  /// Post-sync bookkeeping shared by barrier, allreduce_sum, agree and
+  /// shrink: syncs to the group's (sync_vt, sync_fvt) plus the modeled cost
+  /// of `tree_msgs` tree messages carrying `payload` bytes each, counts
+  /// those messages (docs/MODEL.md §collectives), and records the flight
+  /// entry and the trace event.
+  void end_collective(const char* label, TimeCategory cat, std::uint64_t comm_ctx,
+                      std::int64_t gen, double sync_vt, double sync_fvt,
+                      std::int64_t tree_msgs, std::int64_t payload) {
+    const double t0 = vt;
+    const double cost =
+        static_cast<double>(tree_msgs) *
+        (mach->net.latency + mach->mpi_overhead +
+         static_cast<double>(payload) / mach->net.bandwidth);
+    sync(sync_vt, sync_fvt, cost, cat);
+    const int c = static_cast<int>(cat);
+    messages[c] += tree_msgs;
+    bytes[c] += tree_msgs * payload;
+    mh.msgs[c].add(tree_msgs);
+    mh.bytes[c].add(tree_msgs * payload);
+    flight_record(FlightEntry::kCollective, -1, static_cast<int>(gen), 0, payload);
+    if (tracing) {
+      TraceEvent e;
+      e.kind = TraceEventKind::kCollective;
+      e.cat = cat;
+      e.t0 = t0;
+      e.t1 = vt;
+      e.bytes = payload;
+      e.arrival = sync_vt;
+      e.seq = gen;
+      e.ctx = comm_ctx;
+      e.label = label;
+      trace.events.push_back(e);
+    }
+  }
 
   /// Advances both clocks in lockstep (identical arithmetic keeps fvt
   /// bitwise equal to vt while no faults intervene); receive/collective
@@ -287,39 +361,25 @@ struct RankCtx {
         next_sample += metrics_period;
       }
     }
-    if (crash_events != nullptr && crash_idx < crash_events->size() &&
-        vt >= (*crash_events)[crash_idx].vt) {
-      process_crash();
-    }
-    if (elastic_events != nullptr && elastic_idx < elastic_events->size() &&
-        vt >= (*elastic_events)[elastic_idx].vt) {
-      process_elastic();
-    }
+    if (crash_plan.due(vt)) process_crash();
+    if (elastic_plan.due(vt)) process_elastic();
     // Elastic-degradation overload: once this partition's host adopted extra
     // partitions, every clean compute second really takes `mult` seconds on
-    // the shrunken machine. The extra rides the fault clock only, and also
-    // crash_total so the recv/collective fault-clock rewrites re-apply a
-    // charge that landed inside their own advance (same guard as crashes).
-    if (degrade_events != nullptr) {
-      while (degrade_idx < degrade_events->size() &&
-             vt >= (*degrade_events)[degrade_idx].vt) {
-        const DegradeEvent de = (*degrade_events)[degrade_idx++];
-        degrade_mult = de.mult;
-        // Peak multiplier on the stats (max semantics), live multiplier on
-        // the gauge — a re-expansion lowers the gauge but not the peak.
-        if (de.mult > dstats.overload_mult) dstats.overload_mult = de.mult;
-        mh.degrade_overload.set(de.mult);
-        if (de.adopt_delta > 0) {
-          dstats.partitions_adopted += de.adopt_delta;
-          mh.degrade_adopted.add(de.adopt_delta);
-        }
-      }
-      if (degrade_mult > 1.0 && cat == TimeCategory::kFp) {
-        const double extra = (degrade_mult - 1.0) * seconds;
-        fvt += extra;
-        crash_total += extra;
-        dstats.overload_time += extra;
-      }
+    // the shrunken machine. The extra rides the fault clock only.
+    while (degrade_plan.due(vt)) {
+      const DegradeEvent de = degrade_plan.pop();
+      degrade_mult = de.mult;
+      // Peak multiplier on the stats (max semantics), live multiplier on
+      // the gauge — a re-expansion lowers the gauge but not the peak.
+      DegradationStats& ds = ledger.degradation;
+      if (de.mult > ds.overload_mult) ds.overload_mult = de.mult;
+      mh.overload.set(de.mult);
+      if (de.adopt_delta > 0) charge(ds.partitions_adopted, de.adopt_delta);
+    }
+    if (degrade_mult > 1.0 && cat == TimeCategory::kFp) {
+      const double extra = (degrade_mult - 1.0) * seconds;
+      fault_delay(extra, /*echo=*/true);
+      ledger.degradation.overload_time += extra;
     }
     if (vt > vt_limit) {
       FaultReport r;
@@ -331,6 +391,69 @@ struct RankCtx {
     }
   }
 
+  /// Instant trace marker at clean time `t` (no-op unless tracing).
+  void mark(const char* label, double t, std::int64_t arg) {
+    if (tracing) trace.marks.push_back({label, t, arg});
+  }
+
+  /// Heartbeat detection latency of a death at `t`: the rank is declared
+  /// dead `misses` beats after the last heartbeat it answered (the beat
+  /// grid is absolute).
+  double detect_delay(double t) const {
+    const RecoveryModel& rm = mach->recovery;
+    return (std::floor(t / rm.heartbeat_period) +
+            static_cast<double>(rm.heartbeat_misses)) * rm.heartbeat_period - t;
+  }
+
+  /// Modeled time to ship `bytes` of checkpoint image to or from the buddy.
+  double wire_time(double overhead, double bytes) const {
+    return overhead + mach->net.latency + bytes / mach->net.bandwidth;
+  }
+
+  /// A recovery's fetch of this rank's latest buddy image.
+  struct Fetch {
+    const CheckpointImage* img = nullptr;  ///< null: image lost or rejected
+    double wire = 0.0;       ///< fetch overhead + wire time (0 without image)
+    double replay = 0.0;     ///< progress to recompute since the image epoch
+                             ///< (since the start without image)
+    std::int64_t bytes = 0;  ///< image bytes shipped (0 without image)
+  };
+
+  /// Checksum-gated image fetch shared by every recovery at fault time `t`
+  /// (`available`: an image survived the fault). An image failing its
+  /// payload checksum was silently corrupted after capture: it is rejected
+  /// (RecoveryStats::image_rejects) and the recovery escalates to
+  /// replay-from-start instead of resurrecting bad state. With `restore`,
+  /// the innermost hook whose label matches verifies the image against the
+  /// live state (a mismatch is a checkpoint bug, not a modeled fault — it
+  /// throws logic_error); no matching hook (the capturing scope already
+  /// closed) still counts as a restore.
+  Fetch fetch_image(double t, bool available, bool restore) {
+    const RecoveryModel& rm = mach->recovery;
+    Fetch f;
+    f.replay = t * rm.replay_factor;
+    f.img = available && ckpt != nullptr ? ckpt->latest(grank) : nullptr;
+    if (f.img != nullptr && payload_checksum(f.img->state) != f.img->checksum) {
+      charge(ledger.recovery.image_rejects);
+      f.img = nullptr;
+    }
+    if (f.img == nullptr) return f;
+    const double bytes = static_cast<double>(f.img->state.size()) * sizeof(Real);
+    f.bytes = static_cast<std::int64_t>(bytes);
+    f.wire = wire_time(rm.restore_overhead, bytes);
+    f.replay = (t - f.img->vt) * rm.replay_factor;
+    if (restore) {
+      for (auto it = hooks.rbegin(); it != hooks.rend(); ++it) {
+        if (std::strcmp(it->label, f.img->label) == 0) {
+          it->restore(*f.img);
+          break;
+        }
+      }
+      charge(ledger.recovery.restores);
+    }
+    return f;
+  }
+
   /// Fires every crash event the clean clock just crossed: simulated
   /// analytically at the crossing instant — the victim fiber *is* the spare
   /// that adopts its identity (the clean clock, counters and solve state are
@@ -340,17 +463,15 @@ struct RankCtx {
   /// the fault clock and RecoveryStats. Unrecoverable verdicts (buddy-pair
   /// loss, spare-pool exhaustion) throw a structured FaultError instead.
   void process_crash() {
-    while (crash_idx < crash_events->size() &&
-           vt >= (*crash_events)[crash_idx].vt) {
-      const CrashEvent ev = (*crash_events)[crash_idx++];
-      rstats.crashes += 1;
-      const int buddy = ckpt->buddy_of(grank);
+    while (crash_plan.due(vt)) {
+      const CrashEvent ev = crash_plan.pop();
+      charge(ledger.recovery.crashes);
       if (ev.verdict != FaultKind::kNone) {
         if (!degrade || ev.survivors_after <= 0 || ev.adopter < 0) {
           FaultReport r;
           r.kind = degrade ? FaultKind::kNoSurvivors : ev.verdict;
           r.rank = grank;
-          r.peer = buddy;
+          r.peer = ckpt->buddy_of(grank);
           r.vt = ev.vt;
           r.detail =
               degrade ? "elastic degradation found no survivor to adopt the "
@@ -365,60 +486,25 @@ struct RankCtx {
         process_degrade(ev);
         continue;
       }
-      const RecoveryModel& rm = mach->recovery;
       const double t = ev.vt;
-      // Heartbeat detection: the rank is declared dead `misses` beats after
-      // the last heartbeat it answered (the beat grid is absolute).
-      const double detect =
-          (std::floor(t / rm.heartbeat_period) +
-           static_cast<double>(rm.heartbeat_misses)) * rm.heartbeat_period - t;
+      const double detect = detect_delay(t);
       // ULFM repair: revoke, shrink and two agreement sweeps among the
-      // survivors, each a logarithmic tree round.
+      // survivors.
       const double repair = 4.0 * ulfm_sweep;
-      double restore = 0.0;
-      double replay = t * rm.replay_factor;  // no epoch yet: replay from start
-      const CheckpointImage* img = ckpt->latest(grank);
-      if (img != nullptr && payload_checksum(img->state) != img->checksum) {
-        // The image was silently corrupted after capture: reject it instead
-        // of resurrecting bad state, and fall through to replay-from-start
-        // (the recompute path needs no image).
-        rstats.image_rejects += 1;
-        mh.image_rejects.add();
-        img = nullptr;
-      }
-      if (img != nullptr) {
-        const double bytes = static_cast<double>(img->state.size()) * sizeof(Real);
-        restore = rm.restore_overhead + mach->net.latency +
-                  bytes / mach->net.bandwidth;
-        replay = (t - img->vt) * rm.replay_factor;
-        // The innermost hook whose label matches the image verifies it
-        // against the live state (a mismatch is a checkpoint bug, not a
-        // modeled fault — it throws logic_error). No matching hook (the
-        // capturing scope already closed) still counts as a restore.
-        for (auto it = hooks.rbegin(); it != hooks.rend(); ++it) {
-          if (std::strcmp(it->label, img->label) == 0) {
-            it->restore(*img);
-            break;
-          }
-        }
-        rstats.restores += 1;
-      }
-      rstats.spares_used += 1;
-      rstats.detect_time += detect;
-      rstats.repair_time += repair;
-      rstats.restore_time += restore;
-      rstats.replay_time += replay;
-      mh.crashes.add();
-      mh.recovery_sweeps.add(4);  // revoke + shrink + two agreement sweeps
-      flight_record(FlightEntry::kCrash, ev.spare, img ? static_cast<int>(img->epoch) : -1,
-                    0, 0);
-      const double delay = detect + repair + restore + replay;
-      fvt += delay;
-      crash_total += delay;
-      if (tracing) {
-        trace.marks.push_back({"crash", t, static_cast<std::int64_t>(ev.spare)});
-        trace.marks.push_back({"restore", t + delay, img ? img->epoch : -1});
-      }
+      const Fetch f = fetch_image(t, /*available=*/true, /*restore=*/true);
+      RecoveryStats& rs = ledger.recovery;
+      charge(rs.spares_used);
+      rs.detect_time += detect;
+      rs.repair_time += repair;
+      rs.restore_time += f.wire;
+      rs.replay_time += f.replay;
+      mh.sweeps.add(4);
+      const int epoch = f.img ? static_cast<int>(f.img->epoch) : -1;
+      flight_record(FlightEntry::kCrash, ev.spare, epoch, 0, 0);
+      const double delay = detect + repair + f.wire + f.replay;
+      fault_delay(delay, /*echo=*/true);
+      mark("crash", t, ev.spare);
+      mark("restore", t + delay, epoch);
     }
   }
 
@@ -434,132 +520,65 @@ struct RankCtx {
   /// clock and DegradationStats. The adopter's ongoing overload is charged
   /// separately by the DegradeEvent stream in advance().
   void process_degrade(const CrashEvent& ev) {
-    const RecoveryModel& rm = mach->recovery;
     const double t = ev.vt;
-    const double detect =
-        (std::floor(t / rm.heartbeat_period) +
-         static_cast<double>(rm.heartbeat_misses)) * rm.heartbeat_period - t;
+    const double detect = detect_delay(t);
     // Repair sweeps are sized to the surviving world, not the original one.
-    const double sweep = 2.0 * log2_ceil(ev.survivors_after) *
-                         (mach->net.latency + mach->mpi_overhead);
+    const double sweep = sweep_cost(*mach, ev.survivors_after);
     const double agree = 2.0 * sweep;
     const double shrink = sweep;
-    double redistribute = 0.0;
-    double replay = t * rm.replay_factor;  // image lost: replay from start
-    const CheckpointImage* img =
-        ev.image_survives != 0 ? ckpt->latest(grank) : nullptr;
-    if (img != nullptr && payload_checksum(img->state) != img->checksum) {
-      // Same integrity gate as spare restores: a corrupt image escalates to
-      // replay-from-start instead of resurrecting corruption.
-      rstats.image_rejects += 1;
-      mh.image_rejects.add();
-      img = nullptr;
-    }
-    std::int64_t rbytes = 0;
-    if (img != nullptr) {
-      const double bytes = static_cast<double>(img->state.size()) * sizeof(Real);
-      rbytes = static_cast<std::int64_t>(bytes);
-      redistribute = rm.restore_overhead + mach->net.latency +
-                     bytes / mach->net.bandwidth;
-      replay = (t - img->vt) * rm.replay_factor;
-      for (auto it = hooks.rbegin(); it != hooks.rend(); ++it) {
-        if (std::strcmp(it->label, img->label) == 0) {
-          it->restore(*img);
-          break;
-        }
-      }
-      rstats.restores += 1;
-    }
-    rstats.detect_time += detect;
-    dstats.degrades += 1;
-    dstats.ranks_lost += 1;
-    dstats.redistributed_bytes += rbytes;
-    dstats.agree_time += agree;
-    dstats.shrink_time += shrink;
-    dstats.redistribute_time += redistribute;
-    dstats.replay_time += replay;
-    mh.crashes.add();
-    mh.recovery_sweeps.add(3);  // two agreement sweeps + the shrink
-    mh.degrades.add();
-    mh.degrade_ranks_lost.add();
-    mh.degrade_bytes.add(rbytes);
+    const Fetch f = fetch_image(t, ev.image_survives != 0, /*restore=*/true);
+    DegradationStats& ds = ledger.degradation;
+    ledger.recovery.detect_time += detect;
+    charge(ds.degrades);
+    charge(ds.ranks_lost);
+    charge(ds.redistributed_bytes, f.bytes);
+    ds.agree_time += agree;
+    ds.shrink_time += shrink;
+    ds.redistribute_time += f.wire;
+    ds.replay_time += f.replay;
+    mh.sweeps.add(3);  // two agreement sweeps + the shrink
     flight_record(FlightEntry::kDegrade, ev.adopter, ev.survivors_after,
-                  img ? static_cast<int>(img->epoch) : -1, rbytes);
-    const double delay = detect + agree + shrink + redistribute + replay;
-    fvt += delay;
-    crash_total += delay;
-    if (tracing) {
-      trace.marks.push_back(
-          {"shrink", t, static_cast<std::int64_t>(ev.survivors_after)});
-      trace.marks.push_back(
-          {"redistribute", t + delay, static_cast<std::int64_t>(ev.adopter)});
-    }
+                  f.img ? static_cast<int>(f.img->epoch) : -1, f.bytes);
+    const double delay = detect + agree + shrink + f.wire + f.replay;
+    fault_delay(delay, /*echo=*/true);
+    mark("shrink", t, ev.survivors_after);
+    mark("redistribute", t + delay, ev.adopter);
   }
 
   /// Fires every spare-return event the clean clock just crossed: the
   /// repaired node rejoins a degraded world, the survivors re-agree on the
   /// grown membership (two sweeps), the communicator expands (one sweep) and
   /// the relieved host hands this partition's checkpoint image back
-  /// (checksum-verified, escalating to replay-from-start on a reject, same
-  /// integrity rules as every other fetch). Modeled analytically at the
-  /// returning partition's context — the partition fiber kept executing
-  /// through the degraded window, so the clean ledger is untouched by
-  /// construction; every cost lands on the fault clock and ElasticityStats.
-  /// The relieved host's lowered multiplier arrives separately through the
-  /// DegradeEvent stream in advance().
+  /// (through the same checksum-gated fetch as every restore). Modeled
+  /// analytically at the returning partition's context — the partition
+  /// fiber kept executing through the degraded window, so the clean ledger
+  /// is untouched by construction; every cost lands on the fault clock and
+  /// ElasticityStats. The relieved host's lowered multiplier arrives
+  /// separately through the DegradeEvent stream in advance().
   void process_elastic() {
-    while (elastic_idx < elastic_events->size() &&
-           vt >= (*elastic_events)[elastic_idx].vt) {
-      const ElasticEvent ev = (*elastic_events)[elastic_idx++];
-      const RecoveryModel& rm = mach->recovery;
+    while (elastic_plan.due(vt)) {
+      const ElasticEvent ev = elastic_plan.pop();
       const double t = ev.vt;
       // Re-expansion sweeps are sized to the grown world.
-      const double sweep = 2.0 * log2_ceil(ev.survivors_after) *
-                           (mach->net.latency + mach->mpi_overhead);
+      const double sweep = sweep_cost(*mach, ev.survivors_after);
       const double agree = 2.0 * sweep;
       const double expand = sweep;
-      double transfer = 0.0;
-      double replay = t * rm.replay_factor;  // image lost: replay from start
-      const CheckpointImage* img = ckpt != nullptr ? ckpt->latest(grank) : nullptr;
-      if (img != nullptr && payload_checksum(img->state) != img->checksum) {
-        // Same integrity gate as restores and degrade fetches: a corrupt
-        // image escalates to replay-from-start instead of resurrecting bad
-        // state on the rejoining node.
-        rstats.image_rejects += 1;
-        mh.image_rejects.add();
-        img = nullptr;
-      }
-      std::int64_t tbytes = 0;
-      if (img != nullptr) {
-        const double bytes = static_cast<double>(img->state.size()) * sizeof(Real);
-        tbytes = static_cast<std::int64_t>(bytes);
-        transfer = rm.restore_overhead + mach->net.latency +
-                   bytes / mach->net.bandwidth;
-        replay = (t - img->vt) * rm.replay_factor;
-        estats.transfers += 1;
-        mh.elastic_transfers.add();
-      }
-      estats.returns += 1;
-      estats.expansions += 1;
-      estats.transfer_bytes += tbytes;
-      estats.agree_time += agree;
-      estats.expand_time += expand;
-      estats.transfer_time += transfer;
-      estats.replay_time += replay;
-      mh.elastic_returns.add();
-      mh.elastic_expansions.add();
-      mh.elastic_bytes.add(tbytes);
-      mh.recovery_sweeps.add(3);  // two re-agreement sweeps + the expansion
-      flight_record(FlightEntry::kElastic, ev.from, ev.survivors_after, 0,
-                    tbytes);
-      const double delay = agree + expand + transfer + replay;
-      fvt += delay;
-      crash_total += delay;
-      if (tracing) {
-        trace.marks.push_back(
-            {"expand", t, static_cast<std::int64_t>(ev.survivors_after)});
-        trace.marks.push_back({"transfer", t + delay, tbytes});
-      }
+      const Fetch f = fetch_image(t, /*available=*/true, /*restore=*/false);
+      ElasticityStats& es = ledger.elasticity;
+      if (f.img != nullptr) charge(es.transfers);
+      charge(es.returns);
+      charge(es.expansions);
+      charge(es.transfer_bytes, f.bytes);
+      es.agree_time += agree;
+      es.expand_time += expand;
+      es.transfer_time += f.wire;
+      es.replay_time += f.replay;
+      mh.sweeps.add(3);  // two re-agreement sweeps + the expansion
+      flight_record(FlightEntry::kElastic, ev.from, ev.survivors_after, 0, f.bytes);
+      const double delay = agree + expand + f.wire + f.replay;
+      fault_delay(delay, /*echo=*/true);
+      mark("expand", t, ev.survivors_after);
+      mark("transfer", t + delay, f.bytes);
     }
   }
 
@@ -580,27 +599,20 @@ struct RankCtx {
       if (lag > straggle_hwm) straggle_hwm = lag;
       return;
     }
-    estats.stragglers += 1;
-    estats.straggler_time += growth;
-    mh.straggler_events.add();
+    ElasticityStats& es = ledger.elasticity;
+    charge(es.stragglers);
+    es.straggler_time += growth;
     flight_record(FlightEntry::kElastic, grank, rebalance ? 1 : 0, 1, 0);
-    if (tracing) {
-      trace.marks.push_back(
-          {"straggler", vt, static_cast<std::int64_t>(rebalance ? 1 : 0)});
-    }
+    mark("straggler", vt, rebalance ? 1 : 0);
     if (rebalance) {
       // Two agreement sweeps + one repartition sweep, charged at the epoch
-      // boundary (outside any receive's advance, so no crash_total echo —
-      // the same pattern as checkpoint shipment).
+      // boundary.
       const double cost = 3.0 * ulfm_sweep;
-      fvt += cost;
-      estats.rebalances += 1;
-      estats.straggler_time += cost;
-      mh.straggler_rebalances.add();
-      mh.recovery_sweeps.add(3);
-      if (tracing) {
-        trace.marks.push_back({"rebalance", vt, estats.rebalances});
-      }
+      fault_delay(cost, /*echo=*/false);
+      charge(es.rebalances);
+      es.straggler_time += cost;
+      mh.sweeps.add(3);
+      mark("rebalance", vt, es.rebalances);
     }
     straggle_hwm = fvt - vt;
   }
@@ -617,9 +629,7 @@ struct RankCtx {
   /// solve residual gate to catch (docs/ROBUSTNESS.md §SDC).
   void process_sdc_epoch() {
     if (hooks.empty() || !hooks.back().sdc_state) return;
-    const bool due = sdc_events != nullptr && sdc_idx < sdc_events->size() &&
-                     vt >= (*sdc_events)[sdc_idx].vt;
-    if (!abft && !due) return;
+    if (!abft && !sdc_plan.due(vt)) return;
     std::vector<std::span<Real>> spans = hooks.back().sdc_state();
     std::size_t words = 0;
     for (const auto& s : spans) words += s.size();
@@ -632,9 +642,8 @@ struct RankCtx {
     };
     Flip flips[8];
     std::size_t nflips = 0;
-    while (sdc_events != nullptr && sdc_idx < sdc_events->size() &&
-           vt >= (*sdc_events)[sdc_idx].vt) {
-      const SdcEvent ev = (*sdc_events)[sdc_idx++];
+    while (sdc_plan.due(vt)) {
+      const SdcEvent ev = sdc_plan.pop();
       if (words == 0 || nflips == sizeof(flips) / sizeof(flips[0])) continue;
       // Probe forward (wrapping) from the drawn word to the next nonzero:
       // flipping a mantissa bit of ±0 yields denormal noise with no
@@ -652,16 +661,11 @@ struct RankCtx {
         std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
         bits ^= std::uint64_t{1} << ev.bit;
         v = std::bit_cast<Real>(bits);
-        sdc.injected += 1;
-        sdc.injected_by[static_cast<int>(ev.target)] += 1;
-        mh.abft_injected.add();
-        mh.abft_injected_tgt[static_cast<int>(ev.target)].add();
+        charge(ledger.sdc.injected);
+        charge(ledger.sdc.injected_by[static_cast<int>(ev.target)]);
         flight_record(FlightEntry::kSdc, -1, static_cast<int>(ev.target),
                       ev.bit, 0);
-        if (tracing) {
-          trace.marks.push_back(
-              {"sdc-inject", vt, static_cast<std::int64_t>(ev.bit)});
-        }
+        mark("sdc-inject", vt, ev.bit);
         break;
       }
     }
@@ -671,22 +675,18 @@ struct RankCtx {
     const AbftModel& am = mach->abft;
     const double vcost =
         am.check_overhead + 2.0 * static_cast<double>(words) / mach->cpu_flop_rate;
-    sdc.checks += 1;
+    SdcStats& sdc = ledger.sdc;
+    charge(sdc.checks);
     sdc.verify_time += vcost;
-    fvt += vcost;
-    mh.abft_checks.add();
+    fault_delay(vcost, /*echo=*/false);
     // Unwind the flip journal in reverse (LIFO) order: when two events of
     // the same epoch land on the same word, the later journal entry's
     // "original" already contains the earlier flip, so forward restoration
     // would re-corrupt the word after the first restore undoes it.
     for (std::size_t i = nflips; i-- > 0;) {
       const Flip& f = flips[i];
-      sdc.detected += 1;
-      mh.abft_detected.add();
-      if (tracing) {
-        trace.marks.push_back(
-            {"sdc-detect", vt, static_cast<std::int64_t>(f.bit)});
-      }
+      charge(sdc.detected);
+      mark("sdc-detect", vt, f.bit);
       // The checksum mismatch localizes the corrupt block; recomputing it
       // from retained inputs restores the exact pre-fault bits. A re-failed
       // recomputation escalates to the buddy-checkpoint restore path.
@@ -694,18 +694,13 @@ struct RankCtx {
       double rcost = am.recompute_overhead;
       if (f.refail_draw < am.recompute_refail_prob) {
         rcost += mach->recovery.restore_overhead;
-        sdc.escalated += 1;
+        charge(sdc.escalated);
       }
-      sdc.corrected += 1;
-      sdc.corrected_by[f.target] += 1;
+      charge(sdc.corrected);
+      charge(sdc.corrected_by[f.target]);
       sdc.repair_time += rcost;
-      fvt += rcost;
-      mh.abft_corrected.add();
-      mh.abft_corrected_tgt[f.target].add();
-      if (tracing) {
-        trace.marks.push_back(
-            {"sdc-correct", vt, static_cast<std::int64_t>(f.bit)});
-      }
+      fault_delay(rcost, /*echo=*/false);
+      mark("sdc-correct", vt, f.bit);
     }
   }
 
@@ -1153,8 +1148,7 @@ class ClusterState {
     // SDC shifts no timing, delivery, or crash draw.
     const bool sdc = machine_.perturb.sdc_active();
     if (sdc) sdc_plan_ = build_sdc_plan(machine_.perturb, opts_.seed, nranks);
-    const double sweep = 2.0 * log2_ceil(nranks) *
-                         (machine_.net.latency + machine_.mpi_overhead);
+    const double sweep = sweep_cost(machine_, nranks);
     for (int r = 0; r < nranks; ++r) {
       RankCtx& ctx = ranks_[static_cast<size_t>(r)];
       ctx.grank = r;
@@ -1172,21 +1166,17 @@ class ClusterState {
       ctx.straggler_armed = !machine_.perturb.stalls.empty() &&
                             machine_.recovery.straggler_lag > 0.0;
       if (crashing) {
-        ctx.crash_events = &crash_plan_.by_rank[static_cast<size_t>(r)];
+        ctx.crash_plan.events = &crash_plan_.by_rank[static_cast<size_t>(r)];
         ctx.ckpt = ckpt_.get();
         ctx.degrade = opts_.degrade;
-        if (opts_.degrade &&
-            !crash_plan_.degrade_by_rank[static_cast<size_t>(r)].empty()) {
-          ctx.degrade_events =
-              &crash_plan_.degrade_by_rank[static_cast<size_t>(r)];
-        }
-        if (opts_.degrade &&
-            !crash_plan_.elastic_by_rank[static_cast<size_t>(r)].empty()) {
-          ctx.elastic_events =
-              &crash_plan_.elastic_by_rank[static_cast<size_t>(r)];
+        if (opts_.degrade) {
+          const auto i = static_cast<size_t>(r);
+          auto nonempty = [](const auto& v) { return v.empty() ? nullptr : &v; };
+          ctx.degrade_plan.events = nonempty(crash_plan_.degrade_by_rank[i]);
+          ctx.elastic_plan.events = nonempty(crash_plan_.elastic_by_rank[i]);
         }
       }
-      if (sdc) ctx.sdc_events = &sdc_plan_.by_rank[static_cast<size_t>(r)];
+      if (sdc) ctx.sdc_plan.events = &sdc_plan_.by_rank[static_cast<size_t>(r)];
       ctx.abft = opts_.abft;
       if (skewed) {
         ctx.skew = 1.0 + machine_.perturb.compute_skew *
@@ -1209,37 +1199,11 @@ class ClusterState {
         }
         mh.wait = m->histogram("cluster.wait_time", kWaitBounds);
         mh.peer_dist = m->histogram("cluster.peer_distance", kPeerDistBounds);
-        mh.retransmits = m->counter("transport.retransmits");
-        mh.timeouts = m->counter("transport.timeouts");
-        mh.frames_dropped = m->counter("transport.frames_dropped");
-        mh.acks = m->counter("transport.acks");
-        mh.duplicates = m->counter("transport.duplicates");
-        mh.ckpt_epochs = m->counter("checkpoint.epochs");
-        mh.ckpt_bytes = m->counter("checkpoint.bytes");
-        mh.crashes = m->counter("recovery.crashes");
-        mh.recovery_sweeps = m->counter("recovery.sweeps");
-        mh.abft_checks = m->counter("abft.checks");
-        mh.abft_injected = m->counter("abft.injected");
-        mh.abft_detected = m->counter("abft.detected");
-        mh.abft_corrected = m->counter("abft.corrected");
-        mh.abft_injected_tgt[0] = m->counter("abft.injected.x");
-        mh.abft_injected_tgt[1] = m->counter("abft.injected.l");
-        mh.abft_injected_tgt[2] = m->counter("abft.injected.partial");
-        mh.abft_corrected_tgt[0] = m->counter("abft.corrected.x");
-        mh.abft_corrected_tgt[1] = m->counter("abft.corrected.l");
-        mh.abft_corrected_tgt[2] = m->counter("abft.corrected.partial");
-        mh.image_rejects = m->counter("recovery.image_rejects");
-        mh.degrades = m->counter("recovery.degrade.events");
-        mh.degrade_ranks_lost = m->counter("recovery.degrade.ranks_lost");
-        mh.degrade_adopted = m->counter("recovery.degrade.adopted");
-        mh.degrade_bytes = m->counter("recovery.degrade.bytes");
-        mh.degrade_overload = m->gauge("recovery.degrade.overload");
-        mh.elastic_returns = m->counter("recovery.elastic.returns");
-        mh.elastic_expansions = m->counter("recovery.elastic.expansions");
-        mh.elastic_transfers = m->counter("recovery.elastic.transfers");
-        mh.elastic_bytes = m->counter("recovery.elastic.bytes");
-        mh.straggler_events = m->counter("recovery.straggler.events");
-        mh.straggler_rebalances = m->counter("recovery.straggler.rebalances");
+        FaultLedger::each_field([&](const LedgerField& f, std::size_t off) {
+          if (f.metric != nullptr) mh.ledger[off / 8] = m->counter(f.metric);
+        });
+        mh.sweeps = m->counter("recovery.sweeps");
+        mh.overload = m->gauge("recovery.degrade.overload");
       }
     }
     if (opts_.metrics) {
@@ -1275,60 +1239,44 @@ class ClusterState {
         const RankCtx::FlightEntry& e =
             c.flight[(c.flight_n - n + i) % RankCtx::kFlightCap];
         char buf[160];
+        // Every line starts "rank R: vt=T "; the kind picks the rest.
+        auto put = [&](const char* fmt, auto... args) {
+          std::snprintf(buf, sizeof(buf), fmt, r, e.vt, args...);
+        };
+        const auto bytes = static_cast<long long>(e.bytes);
         switch (e.kind) {
           case RankCtx::FlightEntry::kSend:
-            std::snprintf(buf, sizeof(buf),
-                          "rank %zu: vt=%.9g send(dst=%d, tag=%d, bytes=%lld)", r,
-                          e.vt, e.peer, e.a, static_cast<long long>(e.bytes));
+            put("rank %zu: vt=%.9g send(dst=%d, tag=%d, bytes=%lld)", e.peer, e.a, bytes);
             break;
           case RankCtx::FlightEntry::kRecvWait:
-            std::snprintf(buf, sizeof(buf),
-                          "rank %zu: vt=%.9g recv-wait(src=%d, tags[%d,%d))", r,
-                          e.vt, e.peer, e.a, e.b);
+            put("rank %zu: vt=%.9g recv-wait(src=%d, tags[%d,%d))", e.peer, e.a, e.b);
             break;
           case RankCtx::FlightEntry::kRecvDone:
-            std::snprintf(buf, sizeof(buf),
-                          "rank %zu: vt=%.9g recv(src=%d, tag=%d, bytes=%lld)", r,
-                          e.vt, e.peer, e.a, static_cast<long long>(e.bytes));
+            put("rank %zu: vt=%.9g recv(src=%d, tag=%d, bytes=%lld)", e.peer, e.a, bytes);
             break;
           case RankCtx::FlightEntry::kCollective:
-            std::snprintf(buf, sizeof(buf),
-                          "rank %zu: vt=%.9g collective(gen=%d, bytes=%lld)", r,
-                          e.vt, e.a, static_cast<long long>(e.bytes));
+            put("rank %zu: vt=%.9g collective(gen=%d, bytes=%lld)", e.a, bytes);
             break;
           case RankCtx::FlightEntry::kCrash:
-            std::snprintf(buf, sizeof(buf),
-                          "rank %zu: vt=%.9g crash(spare=%d, epoch=%d)", r, e.vt,
-                          e.peer, e.a);
+            put("rank %zu: vt=%.9g crash(spare=%d, epoch=%d)", e.peer, e.a);
             break;
           case RankCtx::FlightEntry::kCheckpoint:
-            std::snprintf(buf, sizeof(buf),
-                          "rank %zu: vt=%.9g checkpoint(epoch=%d, bytes=%lld)", r,
-                          e.vt, e.a, static_cast<long long>(e.bytes));
+            put("rank %zu: vt=%.9g checkpoint(epoch=%d, bytes=%lld)", e.a, bytes);
             break;
           case RankCtx::FlightEntry::kSdc:
-            std::snprintf(buf, sizeof(buf),
-                          "rank %zu: vt=%.9g sdc(target=%d, bit=%d)", r, e.vt,
-                          e.a, e.b);
+            put("rank %zu: vt=%.9g sdc(target=%d, bit=%d)", e.a, e.b);
             break;
           case RankCtx::FlightEntry::kDegrade:
-            std::snprintf(buf, sizeof(buf),
-                          "rank %zu: vt=%.9g degrade(adopter=%d, survivors=%d)",
-                          r, e.vt, e.peer, e.a);
+            put("rank %zu: vt=%.9g degrade(adopter=%d, survivors=%d)", e.peer, e.a);
             break;
           case RankCtx::FlightEntry::kElastic:
             // b discriminates the two elastic entry flavors: 0 = a spare
             // return re-expanding the world, 1 = a straggler classification.
             if (e.b == 1) {
-              std::snprintf(buf, sizeof(buf),
-                            "rank %zu: vt=%.9g straggler(rebalance=%d)", r,
-                            e.vt, e.a);
+              put("rank %zu: vt=%.9g straggler(rebalance=%d)", e.a);
             } else {
-              std::snprintf(buf, sizeof(buf),
-                            "rank %zu: vt=%.9g expand(from=%d, survivors=%d, "
-                            "bytes=%lld)",
-                            r, e.vt, e.peer, e.a,
-                            static_cast<long long>(e.bytes));
+              put("rank %zu: vt=%.9g expand(from=%d, survivors=%d, bytes=%lld)", e.peer,
+                  e.a, bytes);
             }
             break;
           case RankCtx::FlightEntry::kNone:
@@ -1438,33 +1386,45 @@ class CommGroup {
     /// other survivor-only collectives lower it (dead ranks cannot arrive).
     int expected = 0;
     bool ready = false;
-    double max_vt = 0.0;
-    double max_fvt = 0.0;  ///< fault-clock sync point (barrier/allreduce_sum)
+    double max_vt = 0.0;   ///< clean-clock sync point (every member's vt)
+    double max_fvt = 0.0;  ///< fault-clock sync point (every member's fvt)
+    double max_value = 0.0;                         // allreduce_max result
     std::int64_t agree_and = ~std::int64_t{0};      // agree() running AND
     std::vector<std::vector<Real>> contribs;        // allreduce inputs (by rank)
     std::vector<Real> reduce;                       // allreduce result
     std::vector<std::pair<int, int>> color_key;     // split inputs (by rank)
     std::vector<std::shared_ptr<CommGroup>> split_groups;  // split outputs
     std::vector<int> split_rank;                    // split outputs
+    /// Sizes the split inputs/outputs (split, shrink) on first deposit.
+    void size_split(int n) {
+      if (!color_key.empty()) return;
+      color_key.assign(static_cast<size_t>(n), {0, 0});
+      split_groups.resize(static_cast<size_t>(n));
+      split_rank.assign(static_cast<size_t>(n), 0);
+    }
   };
 
-  /// Runs one collective: `deposit` stores this rank's contribution into
-  /// the slot; the last arriver runs `finalize` and wakes the parked
-  /// members; everyone then reads via `extract`. Non-final arrivers park
-  /// in the scheduler as `grank` at key `vt`. `tolerate_revoked` lets ULFM
-  /// repair collectives (agree/shrink) proceed on a revoked communicator;
-  /// everything else fails with kRevoked. `expected` overrides the arrival
-  /// count that completes the operation (-1 = all members) for
-  /// survivor-only collectives.
+  /// Runs one collective for the member with context `rank`: its clocks
+  /// join the slot's sync point and `deposit` stores its contribution; the
+  /// last arriver runs `finalize` and wakes the parked members; everyone
+  /// then reads via `extract`. Non-final arrivers park in the scheduler at
+  /// key vt. `tolerate_revoked` lets ULFM repair collectives (agree/shrink)
+  /// proceed on a revoked communicator; everything else fails with
+  /// kRevoked. `expected` overrides the arrival count that completes the
+  /// operation (-1 = all members) for survivor-only collectives.
   template <class Deposit, class Finalize, class Extract>
-  auto collective(std::int64_t gen, int grank, double vt, Deposit deposit,
+  auto collective(std::int64_t gen, RankCtx& rank, Deposit deposit,
                   Finalize finalize, Extract extract,
                   bool tolerate_revoked = false, int expected = -1) {
+    const int grank = rank.grank;
+    const double vt = rank.vt;
     if (expected < 0) expected = size();
     if (!tolerate_revoked && revoked()) throw_revoked(grank, vt);
     Scheduler& sched = cluster_->sched();
     CollSlot& slot = slots_[gen];  // map node: stable until erased below
     if (slot.expected == 0) slot.expected = expected;
+    slot.max_vt = std::max(slot.max_vt, vt);
+    slot.max_fvt = std::max(slot.max_fvt, rank.fvt);
     deposit(slot);
     if (++slot.arrived == slot.expected) {
       finalize(slot);
@@ -1473,7 +1433,7 @@ class CommGroup {
         if (g != grank) sched.wake(g);
       }
     } else {
-      WaitScope ws(cluster_->rank(grank).wait, /*collective*/ 2,
+      WaitScope ws(rank.wait, /*collective*/ 2,
                    static_cast<int>(gen), 0, 0, ctx_);
       while (!slot.ready) {
         if (!tolerate_revoked && revoked()) throw_revoked(grank, vt);
@@ -1514,35 +1474,27 @@ void Comm::compute(double flops) {
 void Comm::reset_clock() {
   ctx_->vt = 0.0;
   ctx_->fvt = 0.0;
-  ctx_->tstats = TransportStats{};
   for (double& c : ctx_->category) c = 0.0;
   for (auto& m : ctx_->messages) m = 0;
   for (auto& b : ctx_->bytes) b = 0;
-  // fseq (like send_seq below) and seen_seqs survive: fault draws must not
-  // collide across phases and accepted sequence numbers stay unique.
-  // Crash-stop recovery re-arms with the clock: crash times are interpreted
-  // on the post-reset clock (= relative to solve start when the solver
-  // resets after its setup barrier), the recovery ledger restarts, and
-  // pre-reset checkpoint images are dropped so replay arithmetic never
-  // mixes clocks. A schedule entry smaller than the setup time fires once
-  // pre-reset too — benign: its ledger entries are discarded here and it
-  // re-fires on the fresh clock.
-  ctx_->rstats = RecoveryStats{};
-  ctx_->crash_idx = 0;
+  // The fault ledger restarts with the run it accounts for. fseq (like
+  // send_seq below) and seen_seqs survive: fault draws must not collide
+  // across phases and accepted sequence numbers stay unique.
+  ctx_->ledger = FaultLedger{};
+  // Every fault schedule re-arms with the clock: crash, memory-fault,
+  // degrade and return times are interpreted on the post-reset clock (=
+  // relative to solve start when the solver resets after its setup
+  // barrier), and pre-reset checkpoint images are dropped so replay
+  // arithmetic never mixes clocks. A schedule entry smaller than the setup
+  // time fires once pre-reset too — benign: its ledger entries are
+  // discarded here and it re-fires on the fresh clock.
+  ctx_->crash_plan.next = 0;
+  ctx_->sdc_plan.next = 0;
+  ctx_->degrade_plan.next = 0;
+  ctx_->elastic_plan.next = 0;
   ctx_->crash_total = 0.0;
   ctx_->ckpt_epoch_counter = 0;
-  // SDC re-arms the same way: memory-fault times are on the post-reset
-  // clock and the ABFT ledger restarts with the run it accounts for.
-  ctx_->sdc = SdcStats{};
-  ctx_->sdc_idx = 0;
-  // Degrade events ride the crash schedule's clock, so they re-arm with it.
-  ctx_->dstats = DegradationStats{};
-  ctx_->degrade_idx = 0;
   ctx_->degrade_mult = 1.0;
-  // Elasticity re-arms the same way: return times and the straggler
-  // watermark are interpreted on the post-reset clock.
-  ctx_->estats = ElasticityStats{};
-  ctx_->elastic_idx = 0;
   ctx_->straggle_hwm = 0.0;
   if (ctx_->ckpt != nullptr) ctx_->ckpt->clear(ctx_->grank);
   // Setup-phase events would break the fresh clock's contiguity; drop them.
@@ -1614,8 +1566,6 @@ std::int64_t Comm::bytes_sent(TimeCategory cat) const {
 }
 
 double Comm::fault_vtime() const { return ctx_->fvt; }
-
-const TransportStats& Comm::transport_stats() const { return ctx_->tstats; }
 
 void Comm::send(int dst, int tag, std::vector<Real> data, TimeCategory cat) {
   send_link(dst, tag, std::move(data), machine().net, machine().mpi_overhead, cat);
@@ -1700,36 +1650,17 @@ void Comm::send_link(int dst, int tag, std::vector<Real> data, const LinkParams&
     env.checksum = frame_checksum(ctx_->grank, dst_grank, tag,
                                   static_cast<std::uint64_t>(env.seq),
                                   env.msg.data);
-    TransportStats& ts = ctx_->tstats;
-    ts.data_frames += outcome->attempts;
-    ts.retransmits += outcome->attempts - 1;
-    ts.retrans_bytes += static_cast<std::int64_t>(outcome->attempts - 1) *
-                        static_cast<std::int64_t>(env.msg.data.size() * sizeof(Real));
-    ts.timeouts += outcome->timeouts;
-    ts.frames_dropped += outcome->frames_dropped;
-    ctx_->mh.retransmits.add(outcome->attempts - 1);
-    ctx_->mh.timeouts.add(outcome->timeouts);
-    ctx_->mh.frames_dropped.add(outcome->frames_dropped);
+    TransportStats& ts = ctx_->ledger.transport;
+    ctx_->charge(ts.data_frames, outcome->attempts);
+    ctx_->charge(ts.retransmits, outcome->attempts - 1);
+    ctx_->charge(ts.retrans_bytes,
+                 static_cast<std::int64_t>(outcome->attempts - 1) *
+                     static_cast<std::int64_t>(env.msg.data.size() * sizeof(Real)));
+    ctx_->charge(ts.timeouts, outcome->timeouts);
+    ctx_->charge(ts.frames_dropped, outcome->frames_dropped);
     env.transport = std::move(outcome);
   }
-  if (ctx_->tracing) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kSend;
-    e.cat = cat;
-    e.t0 = t0;
-    e.t1 = ctx_->vt;
-    e.peer = dst_grank;
-    e.tag = tag;
-    e.bytes = static_cast<std::int64_t>(env.msg.data.size() * sizeof(Real));
-    e.arrival = env.msg.arrival;
-    e.seq = env.seq;
-    e.ctx = env.ctx;
-    if (env.transport) {
-      e.retrans = env.transport->attempts - 1;
-      e.fault_arrival = env.fault_arrival;
-    }
-    ctx_->trace.events.push_back(e);
-  }
+  ctx_->trace_message(TraceEventKind::kSend, cat, t0, dst_grank, env);
   cluster->rank(dst_grank).mailbox.push_back(std::move(env));
   cluster->sched().wake(dst_grank);
 }
@@ -1781,14 +1712,11 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
     return best;
   };
   auto take = [&](std::deque<detail::Envelope>::iterator best) {
-    const int src_grank = best->src_grank;
-    const std::int64_t seq = best->seq;
-    const std::uint64_t env_ctx = best->ctx;
-    const std::uint64_t checksum = best->checksum;
-    const double fa = best->fault_arrival;
-    std::unique_ptr<const TransportOutcome> outcome = std::move(best->transport);
-    Message msg = std::move(best->msg);
+    detail::Envelope env = std::move(*best);
     box.erase(best);
+    const int src_grank = env.src_grank;
+    const TransportOutcome* outcome = env.transport.get();
+    Message& msg = env.msg;
     if (outcome) {
       if (outcome->failed) {
         // The transport never got an intact copy through (retry budget
@@ -1810,66 +1738,38 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
       // Receiver side of the fault ledger: acks returned, duplicates
       // suppressed by the sequence numbers, corrupt frames the checksum
       // rejected, stragglers resequenced on arrival.
-      TransportStats& ts = ctx_->tstats;
-      ts.acks += outcome->acks;
-      ts.ack_bytes += static_cast<std::int64_t>(outcome->acks) *
-                      static_cast<std::int64_t>(machine().transport.ack_bytes);
-      ts.corrupt_detected += outcome->corrupt;
-      ts.duplicates += outcome->duplicates;
-      ts.reordered += outcome->reordered ? 1 : 0;
-      ctx_->mh.acks.add(outcome->acks);
-      ctx_->mh.duplicates.add(outcome->duplicates);
+      TransportStats& ts = ctx_->ledger.transport;
+      ctx_->charge(ts.acks, outcome->acks);
+      ctx_->charge(ts.ack_bytes,
+                   static_cast<std::int64_t>(outcome->acks) *
+                       static_cast<std::int64_t>(machine().transport.ack_bytes));
+      ctx_->charge(ts.corrupt_detected, outcome->corrupt);
+      ctx_->charge(ts.duplicates, outcome->duplicates);
+      ctx_->charge(ts.reordered, outcome->reordered ? 1 : 0);
       // End-to-end verification on the accepted copy: the whole-frame
       // checksum stamped at send — header (src, dst, tag, seq) before the
       // payload bytes — must match, and the per-sender sequence number must
       // be fresh. A violation is a transport bug, not a modeled fault.
-      if (checksum != frame_checksum(src_grank, ctx_->grank, msg.tag,
-                                     static_cast<std::uint64_t>(seq), msg.data)) {
+      if (env.checksum != frame_checksum(src_grank, ctx_->grank, msg.tag,
+                                         static_cast<std::uint64_t>(env.seq), msg.data)) {
         throw std::logic_error("reliable transport: accepted frame fails checksum");
       }
-      if (!ctx_->seen_seqs[src_grank].insert(seq).second) {
+      if (!ctx_->seen_seqs[src_grank].insert(env.seq).second) {
         throw std::logic_error("reliable transport: duplicate reached the application");
       }
     }
     const double t0 = ctx_->vt;
-    const double ft0 = ctx_->fvt;
-    const double c0 = ctx_->crash_total;
     // One advance covers wait-until-arrival plus software overhead, so the
     // clock math is bit-identical with tracing on or off; the trace splits
     // wait from commit analytically via the recorded arrival.
-    ctx_->advance(std::max(0.0, msg.arrival - t0) + machine().mpi_overhead, cat);
-    // Rewrite the fault clock with the mirrored expression against the
-    // fault arrival: same ops, same order, so fvt == vt bitwise until a
-    // fault actually adds delay. A crash that fired inside the advance above
-    // put its delay on fvt too — re-apply it after the rewrite (the
-    // inequality guard keeps the no-crash arithmetic bitwise untouched).
-    ctx_->fvt = ft0;
-    ctx_->fvt += std::max(0.0, fa - ft0) + machine().mpi_overhead;
-    if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
+    ctx_->sync(msg.arrival, env.fault_arrival, machine().mpi_overhead, cat);
     // Per-rank wait time: the receive's blocked span on the clean clock
     // (same expression the advance above charged, recomputed read-only).
     ctx_->mh.wait.observe(std::max(0.0, msg.arrival - t0));
     ctx_->flight_record(detail::RankCtx::FlightEntry::kRecvDone, src_grank, msg.tag,
                         0, static_cast<std::int64_t>(msg.data.size() * sizeof(Real)));
-    if (ctx_->tracing) {
-      TraceEvent e;
-      e.kind = TraceEventKind::kRecv;
-      e.cat = cat;
-      e.t0 = t0;
-      e.t1 = ctx_->vt;
-      e.peer = src_grank;
-      e.tag = msg.tag;
-      e.bytes = static_cast<std::int64_t>(msg.data.size() * sizeof(Real));
-      e.arrival = msg.arrival;
-      e.seq = seq;
-      e.ctx = env_ctx;
-      if (outcome) {
-        e.retrans = outcome->attempts - 1;
-        e.fault_arrival = fa;
-      }
-      ctx_->trace.events.push_back(e);
-    }
-    return msg;
+    ctx_->trace_message(TraceEventKind::kRecv, cat, t0, src_grank, env);
+    return std::move(msg);
   };
 
   // Park until a match is queued, then commit only once no READY rank
@@ -1915,65 +1815,20 @@ void Comm::barrier(TimeCategory cat) {
   // The cost model charges 2*ceil(log2 P) tree hops; the message counters
   // charge the same modeled messages (zero-byte) so collective traffic is
   // visible next to point-to-point traffic (docs/MODEL.md).
-  const std::int64_t tree_msgs = 2 * static_cast<std::int64_t>(detail::log2_ceil(size()));
-  const double cost = static_cast<double>(tree_msgs) *
-                      (machine().net.latency + machine().mpi_overhead);
   const std::int64_t gen = coll_gen_++;
-  const double my_vt = ctx_->vt;
-  const double my_fvt = ctx_->fvt;
-  const double c0 = ctx_->crash_total;
   const auto sync = group_->collective(
-      gen, ctx_->grank, my_vt,
-      [&](auto& slot) {
-        slot.max_vt = std::max(slot.max_vt, my_vt);
-        slot.max_fvt = std::max(slot.max_fvt, my_fvt);
-      },
-      [](auto&) {},
+      gen, *ctx_, [](auto&) {}, [](auto&) {},
       [](auto& slot) { return std::pair<double, double>(slot.max_vt, slot.max_fvt); });
-  const double sync_vt = sync.first;
-  ctx_->advance(std::max(0.0, sync_vt - my_vt) + cost, cat);
-  // Mirrored fault-clock sync (same expression shape; bitwise-equal while
-  // the run is fault-free). A crash fired inside the advance re-applies its
-  // delay after the rewrite.
-  ctx_->fvt = my_fvt;
-  ctx_->fvt += std::max(0.0, sync.second - my_fvt) + cost;
-  if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
-  ctx_->messages[static_cast<int>(cat)] += tree_msgs;
-  ctx_->mh.msgs[static_cast<int>(cat)].add(tree_msgs);
-  ctx_->flight_record(detail::RankCtx::FlightEntry::kCollective, -1,
-                      static_cast<int>(gen), 0, 0);
-  if (ctx_->tracing) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kCollective;
-    e.cat = cat;
-    e.t0 = my_vt;
-    e.t1 = ctx_->vt;
-    e.arrival = sync_vt;
-    e.seq = gen;
-    e.ctx = group_->ctx();
-    e.label = "barrier";
-    ctx_->trace.events.push_back(e);
-  }
+  ctx_->end_collective("barrier", cat, group_->ctx(), gen, sync.first, sync.second,
+                       2 * static_cast<std::int64_t>(detail::log2_ceil(size())), 0);
 }
 
 std::vector<Real> Comm::allreduce_sum(std::span<const Real> v, TimeCategory cat) {
-  const double bytes = static_cast<double>(v.size()) * sizeof(Real);
-  // Recursive doubling: 2*ceil(log2 P) modeled tree messages, each carrying
-  // the full payload — counted like the cost model charges them.
-  const std::int64_t tree_msgs = 2 * static_cast<std::int64_t>(detail::log2_ceil(size()));
-  const double cost = static_cast<double>(tree_msgs) *
-                      (machine().net.latency + machine().mpi_overhead +
-                       bytes / machine().net.bandwidth);
   const std::int64_t gen = coll_gen_++;
-  const double my_vt = ctx_->vt;
-  const double my_fvt = ctx_->fvt;
-  const double c0 = ctx_->crash_total;
   const int nmembers = size();
   auto result = group_->collective(
-      gen, ctx_->grank, my_vt,
+      gen, *ctx_,
       [&](auto& slot) {
-        slot.max_vt = std::max(slot.max_vt, my_vt);
-        slot.max_fvt = std::max(slot.max_fvt, my_fvt);
         if (slot.contribs.empty()) {
           slot.contribs.resize(static_cast<size_t>(nmembers));
         }
@@ -1995,51 +1850,28 @@ std::vector<Real> Comm::allreduce_sum(std::span<const Real> v, TimeCategory cat)
         return std::tuple<std::vector<Real>, double, double>(slot.reduce, slot.max_vt,
                                                              slot.max_fvt);
       });
-  ctx_->advance(std::max(0.0, std::get<1>(result) - ctx_->vt) + cost, cat);
-  ctx_->fvt = my_fvt;
-  ctx_->fvt += std::max(0.0, std::get<2>(result) - my_fvt) + cost;
-  if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
-  const std::int64_t payload = static_cast<std::int64_t>(v.size() * sizeof(Real));
-  ctx_->messages[static_cast<int>(cat)] += tree_msgs;
-  ctx_->bytes[static_cast<int>(cat)] += tree_msgs * payload;
-  ctx_->mh.msgs[static_cast<int>(cat)].add(tree_msgs);
-  ctx_->mh.bytes[static_cast<int>(cat)].add(tree_msgs * payload);
-  ctx_->flight_record(detail::RankCtx::FlightEntry::kCollective, -1,
-                      static_cast<int>(gen), 0, payload);
-  if (ctx_->tracing) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kCollective;
-    e.cat = cat;
-    e.t0 = my_vt;
-    e.t1 = ctx_->vt;
-    e.bytes = payload;
-    e.arrival = std::get<1>(result);
-    e.seq = gen;
-    e.ctx = group_->ctx();
-    e.label = "allreduce";
-    ctx_->trace.events.push_back(e);
-  }
+  // Recursive doubling: 2*ceil(log2 P) modeled tree messages, each carrying
+  // the full payload — counted like the cost model charges them.
+  ctx_->end_collective("allreduce", cat, group_->ctx(), gen, std::get<1>(result),
+                       std::get<2>(result),
+                       2 * static_cast<std::int64_t>(detail::log2_ceil(size())),
+                       static_cast<std::int64_t>(v.size() * sizeof(Real)));
   return std::move(std::get<0>(result));
 }
 
 double Comm::allreduce_max(double v) {
-  auto result = group_->collective(
-      coll_gen_++, ctx_->grank, ctx_->vt,
-      [&](auto& slot) { slot.max_vt = std::max(slot.max_vt, v); },
-      [](auto&) {}, [](auto& slot) { return slot.max_vt; });
-  return result;
+  return group_->collective(
+      coll_gen_++, *ctx_,
+      [&](auto& slot) { slot.max_value = std::max(slot.max_value, v); }, [](auto&) {},
+      [](auto& slot) { return slot.max_value; });
 }
 
 Comm Comm::split(int color, int key) {
   auto group = group_;  // keep alive across the collective
   auto result = group_->collective(
-      coll_gen_++, ctx_->grank, ctx_->vt,
+      coll_gen_++, *ctx_,
       [&](auto& slot) {
-        if (slot.color_key.empty()) {
-          slot.color_key.assign(static_cast<size_t>(size()), {0, 0});
-          slot.split_groups.resize(static_cast<size_t>(size()));
-          slot.split_rank.assign(static_cast<size_t>(size()), 0);
-        }
+        slot.size_split(size());
         slot.color_key[static_cast<size_t>(rank_)] = {color, key};
       },
       [&](auto& slot) {
@@ -2090,48 +1922,19 @@ void Comm::revoke(TimeCategory cat) {
 bool Comm::revoked() const { return group_->revoked(); }
 
 std::int64_t Comm::agree(std::int64_t value, TimeCategory cat) {
-  // Two synchronizing tree sweeps (a reduce and a confirmation round —
-  // ULFM agreement is roughly two barriers' worth of traffic).
-  const std::int64_t tree_msgs = 4 * static_cast<std::int64_t>(detail::log2_ceil(size()));
-  const double cost = static_cast<double>(tree_msgs) *
-                      (machine().net.latency + machine().mpi_overhead);
   const std::int64_t gen = coll_gen_++;
-  const double my_vt = ctx_->vt;
-  const double my_fvt = ctx_->fvt;
-  const double c0 = ctx_->crash_total;
   const auto result = group_->collective(
-      gen, ctx_->grank, my_vt,
-      [&](auto& slot) {
-        slot.max_vt = std::max(slot.max_vt, my_vt);
-        slot.max_fvt = std::max(slot.max_fvt, my_fvt);
-        slot.agree_and &= value;
-      },
-      [](auto&) {},
+      gen, *ctx_, [&](auto& slot) { slot.agree_and &= value; }, [](auto&) {},
       [](auto& slot) {
         return std::tuple<std::int64_t, double, double>(slot.agree_and, slot.max_vt,
                                                         slot.max_fvt);
       },
       /*tolerate_revoked=*/true);
-  ctx_->advance(std::max(0.0, std::get<1>(result) - my_vt) + cost, cat);
-  ctx_->fvt = my_fvt;
-  ctx_->fvt += std::max(0.0, std::get<2>(result) - my_fvt) + cost;
-  if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
-  ctx_->messages[static_cast<int>(cat)] += tree_msgs;
-  ctx_->mh.msgs[static_cast<int>(cat)].add(tree_msgs);
-  ctx_->flight_record(detail::RankCtx::FlightEntry::kCollective, -1,
-                      static_cast<int>(gen), 0, 0);
-  if (ctx_->tracing) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kCollective;
-    e.cat = cat;
-    e.t0 = my_vt;
-    e.t1 = ctx_->vt;
-    e.arrival = std::get<1>(result);
-    e.seq = gen;
-    e.ctx = group_->ctx();
-    e.label = "agree";
-    ctx_->trace.events.push_back(e);
-  }
+  // Two synchronizing tree sweeps (a reduce and a confirmation round —
+  // ULFM agreement is roughly two barriers' worth of traffic).
+  ctx_->end_collective("agree", cat, group_->ctx(), gen, std::get<1>(result),
+                       std::get<2>(result),
+                       4 * static_cast<std::int64_t>(detail::log2_ceil(size())), 0);
   return std::get<0>(result);
 }
 
@@ -2144,28 +1947,15 @@ Comm Comm::shrink(const std::vector<int>& failed, TimeCategory cat) {
     }
     dead.insert(f);
   }
-  const int expected = size() - static_cast<int>(dead.size());
   // Survivor-only synchronizing sweep: completion needs exactly `expected`
   // arrivals — the dead ranks, by definition, never arrive.
-  const std::int64_t tree_msgs =
-      2 * static_cast<std::int64_t>(detail::log2_ceil(expected));
-  const double cost = static_cast<double>(tree_msgs) *
-                      (machine().net.latency + machine().mpi_overhead);
+  const int expected = size() - static_cast<int>(dead.size());
   const std::int64_t gen = coll_gen_++;
-  const double my_vt = ctx_->vt;
-  const double my_fvt = ctx_->fvt;
-  const double c0 = ctx_->crash_total;
   auto group = group_;  // keep alive across the collective
   auto result = group_->collective(
-      gen, ctx_->grank, my_vt,
+      gen, *ctx_,
       [&](auto& slot) {
-        slot.max_vt = std::max(slot.max_vt, my_vt);
-        slot.max_fvt = std::max(slot.max_fvt, my_fvt);
-        if (slot.color_key.empty()) {
-          slot.color_key.assign(static_cast<size_t>(size()), {0, 0});
-          slot.split_groups.resize(static_cast<size_t>(size()));
-          slot.split_rank.assign(static_cast<size_t>(size()), 0);
-        }
+        slot.size_split(size());
         slot.color_key[static_cast<size_t>(rank_)] = {1, 0};  // I survived
       },
       [&](auto& slot) {
@@ -2190,41 +1980,20 @@ Comm Comm::shrink(const std::vector<int>& failed, TimeCategory cat) {
             slot.split_rank[static_cast<size_t>(rank_)], slot.max_vt, slot.max_fvt);
       },
       /*tolerate_revoked=*/true, expected);
-  ctx_->advance(std::max(0.0, std::get<2>(result) - my_vt) + cost, cat);
-  ctx_->fvt = my_fvt;
-  ctx_->fvt += std::max(0.0, std::get<3>(result) - my_fvt) + cost;
-  if (ctx_->crash_total != c0) ctx_->fvt += ctx_->crash_total - c0;
-  ctx_->messages[static_cast<int>(cat)] += tree_msgs;
-  ctx_->mh.msgs[static_cast<int>(cat)].add(tree_msgs);
-  ctx_->flight_record(detail::RankCtx::FlightEntry::kCollective, -1,
-                      static_cast<int>(gen), 0, 0);
-  if (ctx_->tracing) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kCollective;
-    e.cat = cat;
-    e.t0 = my_vt;
-    e.t1 = ctx_->vt;
-    e.arrival = std::get<2>(result);
-    e.seq = gen;
-    e.ctx = group_->ctx();
-    e.label = "shrink";
-    ctx_->trace.events.push_back(e);
-  }
+  ctx_->end_collective("shrink", cat, group_->ctx(), gen, std::get<2>(result),
+                       std::get<3>(result),
+                       2 * static_cast<std::int64_t>(detail::log2_ceil(expected)), 0);
   return Comm(std::move(std::get<0>(result)), std::get<1>(result), ctx_);
 }
-
-const RecoveryStats& Comm::recovery_stats() const { return ctx_->rstats; }
-
-const SdcStats& Comm::sdc_stats() const { return ctx_->sdc; }
 
 CheckpointScope Comm::register_checkpoint(
     const char* label, std::function<std::vector<Real>()> capture,
     std::function<void(const CheckpointImage&)> restore, SdcStateFn sdc_state) {
   // Bypass-free without a crash model, SDC schedule, or ABFT: nothing is
   // pushed, nothing captured.
-  const bool sdc_armed =
-      ctx_->abft || (ctx_->sdc_events != nullptr && !ctx_->sdc_events->empty());
-  if (ctx_->crash_events == nullptr && !sdc_armed) {
+  const auto* sdc = ctx_->sdc_plan.events;
+  const bool sdc_armed = ctx_->abft || (sdc != nullptr && !sdc->empty());
+  if (ctx_->crash_plan.events == nullptr && !sdc_armed) {
     return CheckpointScope(nullptr, 0);
   }
   ctx_->hooks.push_back(
@@ -2243,7 +2012,7 @@ void Comm::checkpoint_epoch(std::int64_t arg) {
   // and repaired) before the epoch's buddy image is captured, so a crash
   // restore never resurrects a corrupted word.
   c->process_sdc_epoch();
-  if (c->crash_events == nullptr) return;
+  if (c->crash_plan.events == nullptr) return;
   const auto& hook = c->hooks.back();
   CheckpointImage img;
   img.epoch = c->ckpt_epoch_counter++;
@@ -2266,19 +2035,15 @@ void Comm::checkpoint_epoch(std::int64_t arg) {
   // plus the modeled wire time of the image. The clean clock never moves,
   // so checkpoint cadence cannot perturb the modeled solve.
   const double bytes = static_cast<double>(img.state.size()) * sizeof(Real);
-  const RecoveryModel& rm = machine().recovery;
-  const double cost = rm.checkpoint_overhead + machine().net.latency +
-                      bytes / machine().net.bandwidth;
-  c->fvt += cost;
-  c->rstats.checkpoints += 1;
-  c->rstats.checkpoint_bytes += static_cast<std::int64_t>(bytes);
-  c->rstats.checkpoint_time += cost;
-  c->mh.ckpt_epochs.add();
-  c->mh.ckpt_bytes.add(static_cast<std::int64_t>(bytes));
+  const double cost = c->wire_time(machine().recovery.checkpoint_overhead, bytes);
+  c->fault_delay(cost, /*echo=*/false);
+  c->charge(c->ledger.recovery.checkpoints);
+  c->charge(c->ledger.recovery.checkpoint_bytes, static_cast<std::int64_t>(bytes));
+  c->ledger.recovery.checkpoint_time += cost;
   c->flight_record(detail::RankCtx::FlightEntry::kCheckpoint,
                    c->ckpt->buddy_of(c->grank), static_cast<int>(img.epoch), 0,
                    static_cast<std::int64_t>(bytes));
-  if (c->tracing) c->trace.marks.push_back({"checkpoint", c->vt, arg});
+  c->mark("checkpoint", c->vt, arg);
   c->ckpt->save(c->grank, std::move(img));
 }
 
@@ -2374,107 +2139,50 @@ double Cluster::Result::fault_makespan() const {
   return m;
 }
 
-TransportStats Cluster::Result::transport_totals() const {
-  TransportStats t;
-  for (const auto& r : ranks) t += r.transport;
-  return t;
+namespace {
+/// Sum over ranks of one fault-ledger part.
+template <class Stats>
+Stats ledger_total(const std::vector<RankStats>& ranks, Stats FaultLedger::*part) {
+  Stats total;
+  for (const auto& r : ranks) ledger_merge(total, r.*part);
+  return total;
 }
+}  // namespace
 
-std::uint64_t Cluster::Result::fault_fingerprint() const {
-  // Extends fingerprint() with the fault ledger; with no faults injected the
-  // transport counters are zero and fault_vtime == vtime, so this value is
-  // still seed-stable (but distinct from fingerprint()).
-  std::uint64_t h = fingerprint();
-  auto mix = [&h](std::uint64_t v) { h = detail::hash64(h ^ v); };
-  for (const auto& r : ranks) {
-    mix(std::bit_cast<std::uint64_t>(r.fault_vtime));
-    const TransportStats& t = r.transport;
-    mix(static_cast<std::uint64_t>(t.data_frames));
-    mix(static_cast<std::uint64_t>(t.retransmits));
-    mix(static_cast<std::uint64_t>(t.retrans_bytes));
-    mix(static_cast<std::uint64_t>(t.timeouts));
-    mix(static_cast<std::uint64_t>(t.frames_dropped));
-    mix(static_cast<std::uint64_t>(t.acks));
-    mix(static_cast<std::uint64_t>(t.ack_bytes));
-    mix(static_cast<std::uint64_t>(t.corrupt_detected));
-    mix(static_cast<std::uint64_t>(t.duplicates));
-    mix(static_cast<std::uint64_t>(t.reordered));
-    const RecoveryStats& rec = r.recovery;
-    mix(static_cast<std::uint64_t>(rec.crashes));
-    mix(static_cast<std::uint64_t>(rec.checkpoints));
-    mix(static_cast<std::uint64_t>(rec.checkpoint_bytes));
-    mix(static_cast<std::uint64_t>(rec.restores));
-    mix(static_cast<std::uint64_t>(rec.spares_used));
-    mix(static_cast<std::uint64_t>(rec.image_rejects));
-    mix(std::bit_cast<std::uint64_t>(rec.detect_time));
-    mix(std::bit_cast<std::uint64_t>(rec.repair_time));
-    mix(std::bit_cast<std::uint64_t>(rec.restore_time));
-    mix(std::bit_cast<std::uint64_t>(rec.replay_time));
-    mix(std::bit_cast<std::uint64_t>(rec.checkpoint_time));
-    const SdcStats& s = r.sdc;
-    mix(static_cast<std::uint64_t>(s.injected));
-    mix(static_cast<std::uint64_t>(s.detected));
-    mix(static_cast<std::uint64_t>(s.corrected));
-    mix(static_cast<std::uint64_t>(s.escalated));
-    mix(static_cast<std::uint64_t>(s.checks));
-    mix(static_cast<std::uint64_t>(s.residual_checks));
-    mix(static_cast<std::uint64_t>(s.refine_iters));
-    for (int t = 0; t < 3; ++t) {
-      mix(static_cast<std::uint64_t>(s.injected_by[t]));
-      mix(static_cast<std::uint64_t>(s.corrected_by[t]));
-    }
-    mix(std::bit_cast<std::uint64_t>(s.verify_time));
-    mix(std::bit_cast<std::uint64_t>(s.repair_time));
-    mix(std::bit_cast<std::uint64_t>(s.residual_time));
-    const DegradationStats& d = r.degradation;
-    mix(static_cast<std::uint64_t>(d.degrades));
-    mix(static_cast<std::uint64_t>(d.ranks_lost));
-    mix(static_cast<std::uint64_t>(d.partitions_adopted));
-    mix(static_cast<std::uint64_t>(d.redistributed_bytes));
-    mix(std::bit_cast<std::uint64_t>(d.agree_time));
-    mix(std::bit_cast<std::uint64_t>(d.shrink_time));
-    mix(std::bit_cast<std::uint64_t>(d.redistribute_time));
-    mix(std::bit_cast<std::uint64_t>(d.replay_time));
-    mix(std::bit_cast<std::uint64_t>(d.overload_time));
-    mix(std::bit_cast<std::uint64_t>(d.overload_mult));
-    const ElasticityStats& e = r.elasticity;
-    mix(static_cast<std::uint64_t>(e.returns));
-    mix(static_cast<std::uint64_t>(e.expansions));
-    mix(static_cast<std::uint64_t>(e.transfers));
-    mix(static_cast<std::uint64_t>(e.transfer_bytes));
-    mix(static_cast<std::uint64_t>(e.stragglers));
-    mix(static_cast<std::uint64_t>(e.rebalances));
-    mix(std::bit_cast<std::uint64_t>(e.agree_time));
-    mix(std::bit_cast<std::uint64_t>(e.expand_time));
-    mix(std::bit_cast<std::uint64_t>(e.transfer_time));
-    mix(std::bit_cast<std::uint64_t>(e.replay_time));
-    mix(std::bit_cast<std::uint64_t>(e.straggler_time));
-  }
-  return h;
+TransportStats Cluster::Result::transport_totals() const {
+  return ledger_total(ranks, &FaultLedger::transport);
 }
 
 RecoveryStats Cluster::Result::recovery_stats() const {
-  RecoveryStats total;
-  for (const auto& r : ranks) total += r.recovery;
-  return total;
+  return ledger_total(ranks, &FaultLedger::recovery);
 }
 
 SdcStats Cluster::Result::sdc_stats() const {
-  SdcStats total;
-  for (const auto& r : ranks) total += r.sdc;
-  return total;
+  return ledger_total(ranks, &FaultLedger::sdc);
 }
 
 DegradationStats Cluster::Result::degradation_stats() const {
-  DegradationStats total;
-  for (const auto& r : ranks) total += r.degradation;
-  return total;
+  return ledger_total(ranks, &FaultLedger::degradation);
 }
 
 ElasticityStats Cluster::Result::elasticity_stats() const {
-  ElasticityStats total;
-  for (const auto& r : ranks) total += r.elasticity;
-  return total;
+  return ledger_total(ranks, &FaultLedger::elasticity);
+}
+
+std::uint64_t Cluster::Result::fault_fingerprint() const {
+  // Extends fingerprint() with the fault ledger; with no faults injected
+  // every ledger field is zero and fault_vtime == vtime, so this value is
+  // still seed-stable (but distinct from fingerprint()).
+  std::uint64_t h = fingerprint();
+  auto mix = [&h](std::uint64_t v) { h = detail::hash64(h ^ v); };
+  for (const RankStats& r : ranks) {
+    mix(std::bit_cast<std::uint64_t>(r.fault_vtime));
+    const FaultLedger& ledger = r;
+    FaultLedger::each_field([&](const LedgerField&, std::size_t off) {
+      mix(ledger_get<std::uint64_t>(&ledger, off));
+    });
+  }
+  return h;
 }
 
 Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
@@ -2538,13 +2246,9 @@ Cluster::Result Cluster::run_impl(int nranks, const MachineModel& machine,
   res.ranks.resize(static_cast<size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     RankStats& out = res.ranks[static_cast<size_t>(r)];
+    static_cast<FaultLedger&>(out) = state.rank(r).ledger;
     out.vtime = state.rank(r).vt;
     out.fault_vtime = state.rank(r).fvt;
-    out.transport = state.rank(r).tstats;
-    out.recovery = state.rank(r).rstats;
-    out.sdc = state.rank(r).sdc;
-    out.degradation = state.rank(r).dstats;
-    out.elasticity = state.rank(r).estats;
     for (int c = 0; c < kNumTimeCategories; ++c) {
       out.category[c] = state.rank(r).category[c];
       out.messages[c] = state.rank(r).messages[c];

@@ -30,8 +30,10 @@
 /// defined in runtime/perturbation.hpp together with the seeded
 /// PerturbationModel the clock applies when MachineModel::perturb is set.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -173,6 +175,40 @@ struct RunOptions {
   /// ElasticityStats (Result::elasticity_stats, recovery.straggler.*).
   bool rebalance = false;
 };
+
+/// One rank's fault ledger (docs/ROBUSTNESS.md §Two-ledger accounting):
+/// every counter and cost the fault stack charged beside the clean ledger,
+/// one part per fault class. Each part is described by its field table
+/// (runtime/ledger.hpp); the ledger as a whole is a padding-free run of
+/// 8-byte fields addressed by byte offset.
+struct FaultLedger {
+  TransportStats transport;      ///< reliable transport (delivery faults)
+  RecoveryStats recovery;        ///< crash-stop recovery and checkpoints
+  SdcStats sdc;                  ///< memory faults and ABFT
+  DegradationStats degradation;  ///< shrink-and-redistribute recovery
+  ElasticityStats elasticity;    ///< spare returns and straggler watchdog
+
+  /// Calls fn(field, offset) for every field, part by part in table order
+  /// (the fault_fingerprint order); `offset` is the field's byte offset in
+  /// the ledger (read it with ledger_get).
+  template <class Fn>
+  static void each_field(Fn&& fn) {
+    auto part = [&fn](const auto& table, std::size_t base) {
+      for (const LedgerField& f : table) fn(f, base + f.offset);
+    };
+    part(TransportStats::kFields, offsetof(FaultLedger, transport));
+    part(RecoveryStats::kFields, offsetof(FaultLedger, recovery));
+    part(SdcStats::kFields, offsetof(FaultLedger, sdc));
+    part(DegradationStats::kFields, offsetof(FaultLedger, degradation));
+    part(ElasticityStats::kFields, offsetof(FaultLedger, elasticity));
+  }
+};
+
+static_assert(sizeof(FaultLedger) ==  // every 8-byte field has a table entry
+              8 * (std::size(TransportStats::kFields) +
+                   std::size(RecoveryStats::kFields) + std::size(SdcStats::kFields) +
+                   std::size(DegradationStats::kFields) +
+                   std::size(ElasticityStats::kFields)));
 
 /// A received message.
 struct Message {
@@ -355,21 +391,11 @@ class Comm {
   /// `barrier` messages are zero-byte.
   std::int64_t bytes_sent(TimeCategory cat) const;
 
-  // --- fault ledger (docs/ROBUSTNESS.md; all zero without delivery faults) ---
+  // --- fault ledger (docs/ROBUSTNESS.md; all zero without faults) ---
   /// This rank's fault clock: the clean clock plus every recovery delay
-  /// (retransmit timeouts, straggler flights) the reliable transport
-  /// absorbed. Bitwise equal to vtime() when no delivery faults are set.
+  /// (retransmit timeouts, crash recovery, ABFT repair, overload, ...) the
+  /// fault stack absorbed. Bitwise equal to vtime() when no fault fires.
   double fault_vtime() const;
-  /// This rank's reliable-transport counters since reset_clock.
-  const TransportStats& transport_stats() const;
-  /// This rank's crash-recovery counters since reset_clock (crashes
-  /// absorbed, checkpoint epochs/bytes, detection/repair/restore/replay
-  /// time). All zero without a crash model.
-  const RecoveryStats& recovery_stats() const;
-  /// This rank's SDC/ABFT counters since reset_clock (flips injected /
-  /// detected / corrected, epoch checks, verification and repair time).
-  /// All zero without an SDC schedule or RunOptions::abft.
-  const SdcStats& sdc_stats() const;
 
   /// Opens a zero-cost annotation span labeled `label` (must be a string
   /// literal or otherwise outlive the run) with an optional caller-chosen
@@ -404,20 +430,15 @@ class Comm {
 
 /// Per-rank outcome of a cluster run. The first four fields are the clean
 /// ledger (fault-free by construction, hashed by Result::fingerprint);
-/// fault_vtime and transport carry the reliable transport's recovery cost
-/// and traffic, and coincide with the clean ledger when no delivery faults
-/// are configured.
-struct RankStats {
+/// fault_vtime and the inherited FaultLedger parts carry the fault
+/// stack's recovery cost and traffic, and coincide with the clean ledger
+/// (all-zero parts, fault_vtime == vtime) when no fault is configured.
+struct RankStats : FaultLedger {
   double vtime = 0.0;
   double category[kNumTimeCategories] = {0, 0, 0, 0};
   std::int64_t messages[kNumTimeCategories] = {0, 0, 0, 0};
   std::int64_t bytes[kNumTimeCategories] = {0, 0, 0, 0};
   double fault_vtime = 0.0;
-  TransportStats transport;
-  RecoveryStats recovery;
-  SdcStats sdc;
-  DegradationStats degradation;
-  ElasticityStats elasticity;
 };
 
 /// Distribution summary of one per-rank statistic (Figs 7-8 load-balance
@@ -465,30 +486,15 @@ class Cluster {
     /// Makespan on the fault clock: max fault_vtime over ranks — the clean
     /// makespan plus the recovery delay on the slowest rank.
     double fault_makespan() const;
-    /// Sum of every rank's reliable-transport counters.
+    /// One FaultLedger part merged over every rank (ledger_merge: sums,
+    /// except DegradationStats::overload_mult, the worst multiplier any
+    /// partition ran under). Each part is all zero unless its fault class
+    /// fired — fault cost never reaches the clean ledger, and armed-but-
+    /// inert schedules (e.g. repair returns for live ranks) leave it zero.
     TransportStats transport_totals() const;
-    /// Sum of every rank's crash-recovery counters (crashes, checkpoint
-    /// epochs and bytes, detection/repair/restore/replay time). All zero
-    /// without a crash model — recovery cost never reaches the clean ledger.
     RecoveryStats recovery_stats() const;
-    /// Sum of every rank's SDC/ABFT counters (flips injected / detected /
-    /// corrected / escalated, epoch checks, residual checks, degraded-mode
-    /// refinement iterations, verify/repair/residual time). All zero
-    /// without an SDC schedule or ABFT — like every other fault class, SDC
-    /// cost never reaches the clean ledger.
     SdcStats sdc_stats() const;
-    /// Sum of every rank's graceful-degradation counters (shrinks, ranks
-    /// lost, partitions adopted, redistribution traffic, agree/shrink/
-    /// redistribute/replay/overload time). All zero unless
-    /// RunOptions::degrade absorbed an otherwise-unrecoverable crash.
-    /// The overload_mult component merges with max semantics: the worst
-    /// post-shrink multiplier any partition ran under.
     DegradationStats degradation_stats() const;
-    /// Sum of every rank's elasticity counters (spare returns, world
-    /// re-expansions, partition hand-backs, straggler classifications and
-    /// mitigation sweeps, with their fault-clock time). All zero unless a
-    /// spare return re-expanded a degraded world or the straggler watchdog
-    /// fired — armed-but-inert repair schedules leave every field zero.
     ElasticityStats elasticity_stats() const;
     /// Mean over ranks of one category (paper plots rank-averaged bars).
     double mean_category(TimeCategory cat) const;
@@ -504,10 +510,11 @@ class Cluster {
     /// repeatability checks and benches compare this single value. Delivery
     /// faults never move it — that is the reliable transport's contract.
     std::uint64_t fingerprint() const;
-    /// fingerprint() extended with the fault ledger (fault clocks,
-    /// transport counters and recovery counters) — pins the *fault
-    /// schedule* itself, so a seeded faulty run is bit-reproducible end to
-    /// end.
+    /// fingerprint() extended with the fault ledger: per rank, the fault
+    /// clock, then every field of the five FaultLedger parts (transport,
+    /// recovery, SDC/ABFT, degradation, elasticity) in field-table order.
+    /// Pins the *fault schedule* itself, so a seeded faulty run is
+    /// bit-reproducible end to end.
     std::uint64_t fault_fingerprint() const;
   };
 

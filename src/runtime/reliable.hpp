@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/ledger.hpp"
 #include "runtime/perturbation.hpp"
 #include "sparse/types.hpp"
 
@@ -69,22 +70,24 @@ struct TransportStats {
   std::int64_t duplicates = 0;     ///< duplicate data frames suppressed by seqno
   std::int64_t reordered = 0;      ///< straggler frames resequenced on arrival
 
-  TransportStats& operator+=(const TransportStats& o) {
-    data_frames += o.data_frames;
-    retransmits += o.retransmits;
-    retrans_bytes += o.retrans_bytes;
-    timeouts += o.timeouts;
-    frames_dropped += o.frames_dropped;
-    acks += o.acks;
-    ack_bytes += o.ack_bytes;
-    corrupt_detected += o.corrupt_detected;
-    duplicates += o.duplicates;
-    reordered += o.reordered;
-    return *this;
-  }
+  static const LedgerField kFields[];  ///< ledger.hpp
   bool any() const {
     return data_frames != 0 || acks != 0 || duplicates != 0 || reordered != 0;
   }
+};
+
+inline constexpr LedgerField TransportStats::kFields[] = {
+    {offsetof(TransportStats, data_frames), LedgerField::kCount, nullptr},
+    {offsetof(TransportStats, retransmits), LedgerField::kCount, "transport.retransmits"},
+    {offsetof(TransportStats, retrans_bytes), LedgerField::kCount, nullptr},
+    {offsetof(TransportStats, timeouts), LedgerField::kCount, "transport.timeouts"},
+    {offsetof(TransportStats, frames_dropped), LedgerField::kCount,
+     "transport.frames_dropped"},
+    {offsetof(TransportStats, acks), LedgerField::kCount, "transport.acks"},
+    {offsetof(TransportStats, ack_bytes), LedgerField::kCount, nullptr},
+    {offsetof(TransportStats, corrupt_detected), LedgerField::kCount, nullptr},
+    {offsetof(TransportStats, duplicates), LedgerField::kCount, "transport.duplicates"},
+    {offsetof(TransportStats, reordered), LedgerField::kCount, nullptr},
 };
 
 /// Why a run terminated on a fault instead of completing.

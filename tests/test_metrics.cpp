@@ -13,12 +13,16 @@
 ///     with the clean ledger exactly, per rank and per category.
 ///  4. Post-mortem evidence: a faulted or deadlocked try_run attaches a
 ///     non-empty flight-recorder dump to the FaultReport.
+///  5. Fault-ledger mirrors: every FaultLedger field whose table names a
+///     metric equals that metric on every rank, for every fault class —
+///     including a run a fatal crash ended.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -351,6 +355,118 @@ TEST(MetricsFlight, SuccessfulRunReportsNoFault) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.fault.kind, FaultKind::kNone);
   EXPECT_TRUE(res.fault.flight.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Fault ledger: each metric-named field equals its metric, per fault class.
+// ---------------------------------------------------------------------------
+
+/// Ring workload with a checkpointed, SDC-exposed state vector: every fault
+/// class has something to act on (messages, epochs, live words, collectives).
+void checkpointed_ring(Comm& c) {
+  const int next = (c.rank() + 1) % c.size();
+  const int prev = (c.rank() + c.size() - 1) % c.size();
+  std::vector<Real> state(16, 1.0 + c.rank());
+  const CheckpointScope scope = c.register_checkpoint(
+      "ring", [&] { return state; }, [](const CheckpointImage&) {},
+      [&] { return std::vector<std::span<Real>>{std::span<Real>(state)}; });
+  for (int e = 0; e < 8; ++e) {
+    c.send(next, /*tag=*/100 + e, std::vector<Real>{1.0, 2.0});
+    c.recv(prev, 100 + e);
+    c.advance(1e-5, TimeCategory::kFp);
+    for (Real& v : state) v += 1.0;
+    c.checkpoint_epoch(e);
+    if (e % 3 == 0) c.barrier();
+  }
+  c.allreduce_sum(std::vector<Real>{1.0, 2.0}, TimeCategory::kZComm);
+  c.barrier();
+}
+
+TEST(MetricsFaultLedger, EveryMetricNamedFieldEqualsItsMetric) {
+  struct Row {
+    const char* name;
+    MachineModel machine;
+    RunOptions opts;
+    bool fatal;                                  // run ends on a FaultReport
+    std::function<bool(const Cluster::Result&)> fired;  // the class acted
+  };
+  auto with = [](auto edit) {
+    MachineModel m = test_machine();
+    edit(m);
+    return m;
+  };
+  RunOptions abft;
+  abft.abft = true;
+  RunOptions degrade;
+  degrade.degrade = true;
+  RunOptions elastic = degrade;
+  elastic.rebalance = true;
+  const std::vector<Row> rows = {
+      {"drops", test::faulty_machine(0.05), {}, false,
+       [](const Cluster::Result& r) { return r.transport_totals().retransmits > 0; }},
+      {"crash absorbed by a spare",
+       with([](MachineModel& m) { m.perturb.crashes.push_back({1, 5e-5}); }), {}, false,
+       [](const Cluster::Result& r) { return r.recovery_stats().spares_used == 1; }},
+      {"fatal crash", with([](MachineModel& m) {
+         m.recovery.spare_ranks = 0;
+         m.perturb.crashes.push_back({1, 2e-5});
+       }),
+       {}, true,
+       [](const Cluster::Result& r) {
+         return r.fault.kind == FaultKind::kSparesExhausted;
+       }},
+      {"sdc with abft", with([](MachineModel& m) { m.perturb.sdc_rate = 5e4; }), abft,
+       false, [](const Cluster::Result& r) { return r.sdc_stats().corrected > 0; }},
+      {"degrade", with([](MachineModel& m) {
+         m.recovery.spare_ranks = 0;
+         m.perturb.crashes.push_back({1, 1e-5});
+       }),
+       degrade, false,
+       [](const Cluster::Result& r) { return r.degradation_stats().degrades == 1; }},
+      {"elastic return + straggler rebalance", with([](MachineModel& m) {
+         m.recovery.spare_ranks = 0;
+         m.perturb.crashes.push_back({1, 1e-5});
+         m.perturb.returns.push_back({1, 8e-5});
+         m.perturb.stalls.push_back({/*rank=*/2, /*vt_begin=*/0.0, /*vt_end=*/1e-4,
+                                     /*flight_factor=*/1.0, /*permanent=*/true});
+         m.recovery.straggler_lag = 1e-6;
+       }),
+       elastic, false,
+       [](const Cluster::Result& r) {
+         const ElasticityStats e = r.elasticity_stats();
+         return e.returns == 1 && e.rebalances > 0;
+       }},
+  };
+  for (const Row& row : rows) {
+    RunOptions opts = row.opts;
+    opts.metrics = true;
+    const Cluster::Result res = Cluster::try_run(6, row.machine, checkpointed_ring, opts);
+    EXPECT_EQ(res.ok(), !row.fatal) << row.name << ": " << res.error;
+    EXPECT_TRUE(row.fired(res)) << row.name << ": the fault class never fired";
+    ASSERT_NE(res.metrics, nullptr) << row.name;
+    int mirrored = 0;
+    for (int r = 0; r < static_cast<int>(res.ranks.size()); ++r) {
+      const RankStats& rs = res.ranks[static_cast<size_t>(r)];
+      const FaultLedger& ledger = rs;
+      FaultLedger::each_field([&](const LedgerField& f, std::size_t off) {
+        if (f.metric == nullptr) return;
+        ++mirrored;
+        EXPECT_EQ(res.metrics->value(r, f.metric),
+                  static_cast<double>(ledger_get<std::int64_t>(&ledger, off)))
+            << row.name << ": rank " << r << " metric " << f.metric;
+      });
+      // recovery.sweeps has no field of its own: it counts the ULFM sweeps
+      // the recoveries above priced (4 per spare adoption, 3 per degrade,
+      // re-expansion and rebalance).
+      EXPECT_EQ(res.metrics->value(r, "recovery.sweeps"),
+                static_cast<double>(4 * rs.recovery.spares_used +
+                                    3 * rs.degradation.degrades +
+                                    3 * rs.elasticity.expansions +
+                                    3 * rs.elasticity.rebalances))
+          << row.name << ": rank " << r;
+    }
+    EXPECT_GT(mirrored, 0) << row.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
