@@ -6,34 +6,39 @@
 ///              [--shape PXxPYxPZ] [--alg new|baseline] [--tree binary|flat]
 ///              [--machine cori|perlmutter|crusher] [--nrhs N]
 ///              [--backend cpu|gpu] [--refine] [--csv] [--trace FILE]
-///              [--metrics FILE] [--crash R@T] [--mtbf SECONDS]
-///              [--sdc RATE] [--abft] [--sdc-repair] [--spares N] [--degrade]
-///              [--return R@T] [--repair-mtbf S] [--fanout K] [--rebalance]
-///              [--straggler-lag S]
+///              [--metrics FILE] [--faults SPEC]
+///
+/// `--faults` takes one fault scenario spec (runtime/fault_spec.hpp,
+/// docs/ROBUSTNESS.md §Scenario spec): comma-separated `key=value` and bare
+/// `flag` tokens naming the model fields they set.
 ///
 /// Examples:
 ///   sptrsv_cli --matrix s2D9pt2048 --shape 4x4x8 --alg new
 ///   sptrsv_cli --matrix my.mtx --shape 1x1x4 --machine perlmutter --backend gpu
 ///   sptrsv_cli --matrix nlpkkt80 --scale medium --shape 2x2x16 --refine
-///   sptrsv_cli --matrix s2D9pt2048 --shape 2x2x2 --crash 3@1e-4
-///   sptrsv_cli --matrix s2D9pt2048 --shape 2x2x2 --sdc 2e3 --abft
-///   sptrsv_cli --shape 2x2x2 --spares 0 --degrade --crash 3@1e-4 \
-///              --return 3@5e-4 --fanout 2
+///   sptrsv_cli --matrix s2D9pt2048 --shape 2x2x2 --faults crash=3@1e-4
+///   sptrsv_cli --matrix s2D9pt2048 --shape 2x2x2 --faults sdc_rate=2e3,abft
+///   sptrsv_cli --shape 2x2x2 --faults
+///       spare_ranks=0,degrade,crash=3@1e-4,return=3@5e-4,rebalance_fanout=2
 ///
-/// Exit codes: 0 success, 1 numeric/IO failure, 2 usage, 3 structured fault
+/// Exit codes: 0 success, 1 numeric/IO failure, 2 usage (including an
+/// unknown option value or a malformed fault spec), 3 structured fault
 /// (the FaultReport diagnostics — kind, rank, peer, tag, phase — go to
 /// stderr on every path), 4 unrecoverable silent data corruption (the
 /// end-of-solve residual gate tripped and no repair path converged).
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "core/refinement.hpp"
 #include "core/sptrsv3d.hpp"
 #include "trace/trace.hpp"
 #include "factor/sptrsv_seq.hpp"
 #include "gpusim/gpu_sptrsv.hpp"
+#include "runtime/fault_spec.hpp"
 #include "sparse/mmio.hpp"
 #include "sparse/paper_matrices.hpp"
 
@@ -48,44 +53,32 @@ namespace {
                "binary|flat]\n"
                "          [--machine cori|perlmutter|crusher] [--nrhs N]\n"
                "          [--backend cpu|gpu] [--refine] [--csv] [--trace FILE]\n"
-               "          [--metrics FILE] [--crash R@T]... [--mtbf SECONDS]\n"
-               "          [--sdc RATE] [--abft] [--sdc-repair] [--spares N]\n"
-               "          [--degrade] [--return R@T]... [--repair-mtbf S]\n"
-               "          [--fanout K] [--rebalance] [--straggler-lag S]\n"
+               "          [--metrics FILE] [--faults SPEC]\n"
                "\n"
                "  --metrics FILE  enable the runtime metrics registry and write the\n"
                "                  schema-versioned JSON report (sptrsv-metrics/1) to\n"
                "                  FILE; a one-line summary prints on normal exit\n"
-               "  --sdc RATE      inject silent memory faults (bit flips in live\n"
-               "                  solver state) as a Poisson process at RATE per\n"
-               "                  virtual second per rank\n"
-               "  --abft          verify epoch checksums and recompute corrupted\n"
-               "                  words in place (docs/ROBUSTNESS.md, SDC section)\n"
-               "  --sdc-repair    if the end-of-solve residual gate trips, degrade\n"
-               "                  into iterative refinement instead of failing\n"
-               "  --spares N      size of the spare-rank pool crashes draw from\n"
-               "                  (default 2)\n"
-               "  --degrade       when the spare pool runs dry (or a buddy pair\n"
-               "                  dies), shrink the world and redistribute the\n"
-               "                  dead rank's partition instead of failing\n"
-               "                  (docs/ROBUSTNESS.md, graceful degradation)\n"
-               "  --return R@T    a repaired node rejoins as a spare for rank R\n"
-               "                  at virtual time T; a degraded world re-expands\n"
-               "                  and hands the adopted partition back\n"
-               "  --repair-mtbf S draw spare-return times as a Poisson process\n"
-               "                  with mean-time-to-repair S virtual seconds\n"
-               "  --fanout K      load-aware degradation: split a victim's\n"
-               "                  partition across the K least-loaded survivors\n"
-               "                  instead of one ring adopter (0 = classic)\n"
-               "  --rebalance     straggler watchdog mitigates (repartitions)\n"
-               "                  instead of merely diagnosing slow ranks\n"
-               "  --straggler-lag S  fault-clock lag growth per epoch that\n"
-               "                  classifies a rank as a straggler (0 = off)\n"
+               "  --faults SPEC   fault scenario: comma-separated key=value and flag\n"
+               "                  tokens, e.g. drop_prob=0.01,crash=3@1e-4,sdc_rate=2e3,\n"
+               "                  abft (keys: docs/ROBUSTNESS.md, scenario spec); the\n"
+               "                  fault ledger prints after the solve. With --backend\n"
+               "                  gpu only sdc_rate, sdc_max_per_rank and abft apply\n"
                "\n"
                "exit codes: 0 success, 1 numeric/IO failure, 2 usage,\n"
                "            3 structured fault (FaultReport on stderr),\n"
                "            4 unrecoverable silent data corruption\n",
                argv0);
+  std::exit(2);
+}
+
+/// The value `choices` maps `text` to; exits 2 naming `flag` if none does.
+template <class T>
+T pick(const char* flag, const std::string& text,
+       std::initializer_list<std::pair<const char*, T>> choices) {
+  for (const auto& [name, value] : choices) {
+    if (text == name) return value;
+  }
+  std::fprintf(stderr, "unknown %s value '%s'\n", flag, text.c_str());
   std::exit(2);
 }
 
@@ -133,21 +126,12 @@ int main(int argc, char** argv) {
   Grid3dShape shape{2, 2, 4};
   Algorithm3d alg = Algorithm3d::kProposed;
   TreeKind tree = TreeKind::kBinary;
-  std::string machine_name = "cori";
+  MachineModel (*make_machine)() = &MachineModel::cori_haswell;
   Idx nrhs = 1;
   bool gpu = false, refine = false, csv = false;
   std::string trace_path;
   std::string metrics_path;
-  std::vector<PerturbationModel::Crash> crashes;
-  std::vector<PerturbationModel::NodeReturn> returns;
-  double mtbf = 0.0;
-  double repair_mtbf = 0.0;
-  double sdc_rate = 0.0;
-  bool abft = false, sdc_repair = false;
-  bool degrade = false, rebalance = false;
-  int spares = -1;
-  int fanout = 0;
-  double straggler_lag = 0.0;
+  std::string faults;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -158,25 +142,37 @@ int main(int argc, char** argv) {
     if (a == "--matrix") {
       matrix = next();
     } else if (a == "--scale") {
-      const std::string s = next();
-      scale = s == "tiny" ? MatrixScale::kTiny
-              : s == "medium" ? MatrixScale::kMedium
-                              : MatrixScale::kSmall;
+      scale = pick<MatrixScale>("--scale", next(),
+                                {{"tiny", MatrixScale::kTiny},
+                                 {"small", MatrixScale::kSmall},
+                                 {"medium", MatrixScale::kMedium}});
     } else if (a == "--shape") {
       const std::string s = next();
       if (std::sscanf(s.c_str(), "%dx%dx%d", &shape.px, &shape.py, &shape.pz) != 3) {
         usage(argv[0]);
       }
     } else if (a == "--alg") {
-      alg = next() == "baseline" ? Algorithm3d::kBaseline : Algorithm3d::kProposed;
+      alg = pick<Algorithm3d>("--alg", next(),
+                              {{"new", Algorithm3d::kProposed},
+                               {"baseline", Algorithm3d::kBaseline}});
     } else if (a == "--tree") {
-      tree = next() == "flat" ? TreeKind::kFlat : TreeKind::kBinary;
+      tree = pick<TreeKind>("--tree", next(),
+                            {{"binary", TreeKind::kBinary}, {"flat", TreeKind::kFlat}});
     } else if (a == "--machine") {
-      machine_name = next();
+      make_machine = pick<MachineModel (*)()>(
+          "--machine", next(),
+          {{"cori", &MachineModel::cori_haswell},
+           {"perlmutter", &MachineModel::perlmutter},
+           {"crusher", &MachineModel::crusher}});
     } else if (a == "--nrhs") {
-      nrhs = static_cast<Idx>(std::atoi(next().c_str()));
+      const std::string s = next();
+      const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), nrhs);
+      if (ec != std::errc() || end != s.data() + s.size() || nrhs < 1) {
+        std::fprintf(stderr, "--nrhs wants a positive integer, got '%s'\n", s.c_str());
+        return 2;
+      }
     } else if (a == "--backend") {
-      gpu = (next() == "gpu");
+      gpu = pick<bool>("--backend", next(), {{"cpu", false}, {"gpu", true}});
     } else if (a == "--refine") {
       refine = true;
     } else if (a == "--csv") {
@@ -185,54 +181,31 @@ int main(int argc, char** argv) {
       trace_path = next();
     } else if (a == "--metrics") {
       metrics_path = next();
-    } else if (a == "--crash") {
-      PerturbationModel::Crash c;
-      if (std::sscanf(next().c_str(), "%d@%lf", &c.rank, &c.vt) != 2) {
-        usage(argv[0]);
-      }
-      crashes.push_back(c);
-    } else if (a == "--mtbf") {
-      mtbf = std::atof(next().c_str());
-    } else if (a == "--sdc") {
-      sdc_rate = std::atof(next().c_str());
-    } else if (a == "--abft") {
-      abft = true;
-    } else if (a == "--sdc-repair") {
-      sdc_repair = true;
-    } else if (a == "--spares") {
-      spares = std::atoi(next().c_str());
-    } else if (a == "--degrade") {
-      degrade = true;
-    } else if (a == "--return") {
-      PerturbationModel::NodeReturn nr;
-      if (std::sscanf(next().c_str(), "%d@%lf", &nr.rank, &nr.vt) != 2) {
-        usage(argv[0]);
-      }
-      returns.push_back(nr);
-    } else if (a == "--repair-mtbf") {
-      repair_mtbf = std::atof(next().c_str());
-    } else if (a == "--fanout") {
-      fanout = std::atoi(next().c_str());
-    } else if (a == "--rebalance") {
-      rebalance = true;
-    } else if (a == "--straggler-lag") {
-      straggler_lag = std::atof(next().c_str());
+    } else if (a == "--faults") {
+      faults = next();
     } else {
       usage(argv[0]);
     }
   }
 
-  MachineModel machine = machine_name == "perlmutter" ? MachineModel::perlmutter()
-                         : machine_name == "crusher"  ? MachineModel::crusher()
-                                                      : MachineModel::cori_haswell();
-  machine.perturb.crashes = crashes;
-  machine.perturb.crash_mtbf = mtbf;
-  machine.perturb.returns = returns;
-  machine.perturb.repair_mtbf = repair_mtbf;
-  machine.perturb.sdc_rate = sdc_rate;
-  if (spares >= 0) machine.recovery.spare_ranks = spares;
-  machine.recovery.rebalance_fanout = fanout;
-  machine.recovery.straggler_lag = straggler_lag;
+  MachineModel machine = make_machine();
+  RunOptions run;
+  try {
+    for (const std::string& key : apply_fault_spec(faults, machine, run)) {
+      // The GPU discrete-event model injects memory faults only; anything
+      // else would be silently ignored there.
+      if (gpu && key != "sdc_rate" && key != "sdc_max_per_rank" && key != "abft") {
+        std::fprintf(stderr,
+                     "--backend gpu models only sdc_rate, sdc_max_per_rank and "
+                     "abft faults, not '%s'\n",
+                     key.c_str());
+        return 2;
+      }
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   try {
   const CsrMatrix a = load_matrix(matrix, scale);
@@ -254,7 +227,7 @@ int main(int argc, char** argv) {
     cfg.backend = GpuBackend::kGpu;
     cfg.trace = !trace_path.empty();
     cfg.metrics = !metrics_path.empty();
-    cfg.abft = abft;
+    cfg.abft = run.abft;
     const GpuSolveTimes t = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
     if (!trace_path.empty() && !t.trace->write_chrome_json_file(trace_path)) {
       std::fprintf(stderr, "failed to write trace %s\n", trace_path.c_str());
@@ -279,7 +252,7 @@ int main(int argc, char** argv) {
                       t.metrics->total("gpu.put_bytes.z"),
                   t.metrics->total("gpu.tasks"));
     }
-    if (abft || machine.perturb.sdc_active()) {
+    if (cfg.abft || machine.perturb.sdc_active()) {
       std::printf("  sdc: injected=%lld detected=%lld corrected=%lld "
                   "refine_iters=%lld (abft overhead %.3e s)\n",
                   static_cast<long long>(t.sdc.injected),
@@ -295,12 +268,9 @@ int main(int argc, char** argv) {
   cfg.algorithm = alg;
   cfg.tree = tree;
   cfg.nrhs = nrhs;
+  cfg.run = run;
   cfg.run.trace = !trace_path.empty() && !refine;
   cfg.run.metrics = !metrics_path.empty() && !refine;
-  cfg.run.abft = abft;
-  cfg.run.sdc_repair = sdc_repair;
-  cfg.run.degrade = degrade;
-  cfg.run.rebalance = rebalance;
 
   if (refine) {
     if (!metrics_path.empty()) {
@@ -325,17 +295,16 @@ int main(int argc, char** argv) {
 
   // With SDC injection or ABFT engaged, run the residual-verified wrapper:
   // it prices the end-of-solve check on the fault ledger and either throws
-  // kSilentCorruption (exit 4) or repairs via refinement (--sdc-repair).
-  const bool sdc_engaged = abft || sdc_repair || machine.perturb.sdc_active();
+  // kSilentCorruption (exit 4) or repairs via refinement (sdc_repair).
+  const bool sdc_engaged =
+      run.abft || run.sdc_repair || machine.perturb.sdc_active();
   DistSolveOutcome out;
   Real resid = 0;
   bool repaired = false;
-  Idx repair_iters = 0;
   if (sdc_engaged) {
     VerifiedSolveOutcome v = solve_system_3d_verified(a, fs, b, cfg, machine);
     resid = v.residual;
     repaired = v.repaired;
-    repair_iters = v.repair_iterations;
     out = std::move(v.solve);
   } else {
     out = solve_system_3d(fs, b, cfg, machine);
@@ -367,82 +336,10 @@ int main(int argc, char** argv) {
                     out.mean(&RankPhaseTimes::u_z));
   }
   if (cfg.run.metrics) print_metrics_summary(*out.run_stats.metrics);
-  if (sdc_engaged) {
-    const SdcStats s = out.run_stats.sdc_stats();
-    std::printf("  sdc: injected=%lld detected=%lld corrected=%lld "
-                "refine_iters=%lld%s\n"
-                "       by-target (injected/corrected): x=%lld/%lld "
-                "l=%lld/%lld partial=%lld/%lld\n",
-                static_cast<long long>(s.injected),
-                static_cast<long long>(s.detected),
-                static_cast<long long>(s.corrected),
-                static_cast<long long>(repair_iters),
-                repaired ? " (repaired by refinement)" : "",
-                static_cast<long long>(s.injected_by[0]),
-                static_cast<long long>(s.corrected_by[0]),
-                static_cast<long long>(s.injected_by[1]),
-                static_cast<long long>(s.corrected_by[1]),
-                static_cast<long long>(s.injected_by[2]),
-                static_cast<long long>(s.corrected_by[2]));
-  }
-  if (machine.perturb.crash_active()) {
-    const RecoveryStats rec = out.run_stats.recovery_stats();
-    std::printf(
-        "  recovery: crashes=%lld spares=%lld checkpoints=%lld (%lld B) "
-        "restores=%lld\n"
-        "            detect %.3e s, repair %.3e s, restore %.3e s, replay "
-        "%.3e s; fault makespan %.3e s (clean %.3e s)\n",
-        static_cast<long long>(rec.crashes), static_cast<long long>(rec.spares_used),
-        static_cast<long long>(rec.checkpoints),
-        static_cast<long long>(rec.checkpoint_bytes),
-        static_cast<long long>(rec.restores), rec.detect_time, rec.repair_time,
-        rec.restore_time, rec.replay_time, out.run_stats.fault_makespan(),
-        out.run_stats.makespan());
-    if (rec.image_rejects > 0) {
-      std::printf("            image_rejects=%lld (corrupt checkpoints "
-                  "escalated to replay-from-start)\n",
-                  static_cast<long long>(rec.image_rejects));
-    }
-    const DegradationStats deg = out.run_stats.degradation_stats();
-    if (deg.any()) {
-      std::printf(
-          "  degrade: events=%lld ranks_lost=%lld adopted=%lld "
-          "redistributed=%lld B\n"
-          "           agree %.3e s, shrink %.3e s, redistribute %.3e s, "
-          "replay %.3e s, overload %.3e s\n",
-          static_cast<long long>(deg.degrades),
-          static_cast<long long>(deg.ranks_lost),
-          static_cast<long long>(deg.partitions_adopted),
-          static_cast<long long>(deg.redistributed_bytes), deg.agree_time,
-          deg.shrink_time, deg.redistribute_time, deg.replay_time,
-          deg.overload_time);
-      // Post-shrink load picture: which survivors carry how many partitions'
-      // worth of work (x1.00 = their own share only).
-      for (size_t r = 0; r < out.run_stats.ranks.size(); ++r) {
-        const double m = out.run_stats.ranks[r].degradation.overload_mult;
-        if (m > 1.0) {
-          std::printf("           rank %zu overload x%.2f\n", r, m);
-        }
-      }
-    }
-  }
-  const ElasticityStats el = out.run_stats.elasticity_stats();
-  if (el.any()) {
-    if (el.returns > 0) {
-      std::printf(
-          "  elastic: returns=%lld expansions=%lld transfers=%lld (%lld B)\n"
-          "           agree %.3e s, expand %.3e s, transfer %.3e s, replay "
-          "%.3e s\n",
-          static_cast<long long>(el.returns),
-          static_cast<long long>(el.expansions),
-          static_cast<long long>(el.transfers),
-          static_cast<long long>(el.transfer_bytes), el.agree_time,
-          el.expand_time, el.transfer_time, el.replay_time);
-    }
-    if (el.stragglers > 0) {
-      std::printf("  straggler: events=%lld rebalances=%lld (%.3e s lag)\n",
-                  static_cast<long long>(el.stragglers),
-                  static_cast<long long>(el.rebalances), el.straggler_time);
+  if (!faults.empty()) {
+    std::fputs(fault_summary(out.run_stats).c_str(), stdout);
+    if (repaired) {
+      std::printf("  sdc: residual gate tripped; repaired by refinement\n");
     }
   }
   // A refinement repair converges to the ABFT residual gate, not to working

@@ -75,28 +75,25 @@ struct SdcStats {
   /// ledger.hpp. The per-target counts are listed interleaved (injected,
   /// then corrected, per target): fault_fingerprint mixes in table order.
   static const LedgerField kFields[];
-  bool any() const {
-    return injected != 0 || detected != 0 || checks != 0 || residual_checks != 0;
-  }
 };
 
 inline constexpr LedgerField SdcStats::kFields[] = {
-    {offsetof(SdcStats, injected), LedgerField::kCount, "abft.injected"},
-    {offsetof(SdcStats, detected), LedgerField::kCount, "abft.detected"},
-    {offsetof(SdcStats, corrected), LedgerField::kCount, "abft.corrected"},
-    {offsetof(SdcStats, escalated), LedgerField::kCount, nullptr},
-    {offsetof(SdcStats, checks), LedgerField::kCount, "abft.checks"},
-    {offsetof(SdcStats, residual_checks), LedgerField::kCount, nullptr},
-    {offsetof(SdcStats, refine_iters), LedgerField::kCount, nullptr},
-    {offsetof(SdcStats, injected_by[0]), LedgerField::kCount, "abft.injected.x"},
-    {offsetof(SdcStats, corrected_by[0]), LedgerField::kCount, "abft.corrected.x"},
-    {offsetof(SdcStats, injected_by[1]), LedgerField::kCount, "abft.injected.l"},
-    {offsetof(SdcStats, corrected_by[1]), LedgerField::kCount, "abft.corrected.l"},
-    {offsetof(SdcStats, injected_by[2]), LedgerField::kCount, "abft.injected.partial"},
-    {offsetof(SdcStats, corrected_by[2]), LedgerField::kCount, "abft.corrected.partial"},
-    {offsetof(SdcStats, verify_time), LedgerField::kTime, nullptr},
-    {offsetof(SdcStats, repair_time), LedgerField::kTime, nullptr},
-    {offsetof(SdcStats, residual_time), LedgerField::kTime, nullptr},
+    SPTRSV_LEDGER_FIELD(SdcStats, injected, kCount, "abft.injected"),
+    SPTRSV_LEDGER_FIELD(SdcStats, detected, kCount, "abft.detected"),
+    SPTRSV_LEDGER_FIELD(SdcStats, corrected, kCount, "abft.corrected"),
+    SPTRSV_LEDGER_FIELD(SdcStats, escalated, kCount, nullptr),
+    SPTRSV_LEDGER_FIELD(SdcStats, checks, kCount, "abft.checks"),
+    SPTRSV_LEDGER_FIELD(SdcStats, residual_checks, kCount, nullptr),
+    SPTRSV_LEDGER_FIELD(SdcStats, refine_iters, kCount, nullptr),
+    SPTRSV_LEDGER_FIELD(SdcStats, injected_by[0], kCount, "abft.injected.x"),
+    SPTRSV_LEDGER_FIELD(SdcStats, corrected_by[0], kCount, "abft.corrected.x"),
+    SPTRSV_LEDGER_FIELD(SdcStats, injected_by[1], kCount, "abft.injected.l"),
+    SPTRSV_LEDGER_FIELD(SdcStats, corrected_by[1], kCount, "abft.corrected.l"),
+    SPTRSV_LEDGER_FIELD(SdcStats, injected_by[2], kCount, "abft.injected.partial"),
+    SPTRSV_LEDGER_FIELD(SdcStats, corrected_by[2], kCount, "abft.corrected.partial"),
+    SPTRSV_LEDGER_FIELD(SdcStats, verify_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(SdcStats, repair_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(SdcStats, residual_time, kTime, nullptr),
 };
 
 /// One planned memory fault at a rank, with every random choice predrawn so
@@ -117,12 +114,6 @@ struct SdcEvent {
 /// a failing schedule replays exactly.
 struct SdcPlan {
   std::vector<std::vector<SdcEvent>> by_rank;
-  bool any() const {
-    for (const auto& v : by_rank) {
-      if (!v.empty()) return true;
-    }
-    return false;
-  }
 };
 
 /// Builds the memory-fault plan: explicit PerturbationModel::mem_faults

@@ -13,19 +13,16 @@ namespace {
 /// transport draw, or a crashed run would stop matching its crash-free twin.
 constexpr std::uint64_t kCrashStreamSalt = 0xC7A54C0DE5EEDULL;
 
-double crash_uniform(std::uint64_t seed, int rank, std::uint64_t* cseq) {
-  return detail::perturb_uniform(detail::hash64(seed ^ kCrashStreamSalt),
-                                 static_cast<std::uint64_t>(rank), (*cseq)++);
-}
-
 /// Salt separating the spare-return (repair) stream from every other draw
 /// class: arming repair_mtbf must not shift a timing, delivery, crash or SDC
 /// draw, or an elastic run would stop matching its repair-free twin.
 constexpr std::uint64_t kRepairStreamSalt = 0x4E9A17C0DE5EEDULL;
 
-double repair_uniform(std::uint64_t seed, int rank, std::uint64_t* rseq) {
-  return detail::perturb_uniform(detail::hash64(seed ^ kRepairStreamSalt),
-                                 static_cast<std::uint64_t>(rank), (*rseq)++);
+/// Relative work of partition `p` (RecoveryModel::rank_work; uniform 1.0
+/// when the estimate is missing or non-positive).
+double rank_work(const RecoveryModel& rm, int p) {
+  const auto i = static_cast<std::size_t>(p);
+  return i < rm.rank_work.size() && rm.rank_work[i] > 0.0 ? rm.rank_work[i] : 1.0;
 }
 
 }  // namespace
@@ -64,12 +61,6 @@ DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
   // work estimates. Every choice is a pure function of (rm, dead, host), so
   // survivors agree on the assignment without communication.
   if (rm.rebalance_fanout > 0 && plan.adopter >= 0) {
-    const auto work = [&rm](int p) {
-      return static_cast<std::size_t>(p) < rm.rank_work.size() &&
-                     rm.rank_work[static_cast<std::size_t>(p)] > 0.0
-                 ? rm.rank_work[static_cast<std::size_t>(p)]
-                 : 1.0;
-    };
     const auto host_of = [&host](int p) {
       return host.empty() ? p : host[static_cast<std::size_t>(p)];
     };
@@ -78,12 +69,12 @@ DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
       if (host_of(p) == plan.victim) moving.push_back(p);
     }
     std::stable_sort(moving.begin(), moving.end(),
-                     [&](int a, int b) { return work(a) > work(b); });
+                     [&](int a, int b) { return rank_work(rm, a) > rank_work(rm, b); });
     std::vector<double> load(static_cast<std::size_t>(nranks), 0.0);
     for (int p = 0; p < nranks; ++p) {
       const int h = host_of(p);
       if (!is_dead[static_cast<std::size_t>(h)]) {
-        load[static_cast<std::size_t>(h)] += work(p);
+        load[static_cast<std::size_t>(h)] += rank_work(rm, p);
       }
     }
     std::vector<int> cands;
@@ -105,7 +96,7 @@ DegradePlan build_degrade_plan(const RecoveryModel& rm, int nranks,
           best = h;
         }
       }
-      load[static_cast<std::size_t>(best)] += work(p);
+      load[static_cast<std::size_t>(best)] += rank_work(rm, p);
       plan.moved_partitions.push_back(p);
       plan.adopters.push_back(best);
     }
@@ -131,14 +122,11 @@ std::vector<std::vector<double>> build_repair_plan(const PerturbationModel& pm,
   }
   if (pm.repair_mtbf > 0.0) {
     for (int r = 0; r < nranks; ++r) {
-      std::uint64_t rseq = 0;
-      double t = 0.0;
-      for (int k = 0; k < pm.repair_max_per_rank; ++k) {
-        // Exponential repair gap; 1-u keeps the argument in (0, 1].
-        const double u = repair_uniform(seed, r, &rseq);
-        t += -pm.repair_mtbf * std::log(1.0 - u);
-        plan[static_cast<std::size_t>(r)].push_back(t);
-      }
+      std::uint64_t seq = 0;
+      auto& times = plan[static_cast<std::size_t>(r)];
+      detail::poisson_arrivals(pm.repair_mtbf, pm.repair_max_per_rank, seed,
+                               kRepairStreamSalt, r, &seq,
+                               [&](double t) { times.push_back(t); });
     }
   }
   for (auto& v : plan) std::sort(v.begin(), v.end());
@@ -157,14 +145,11 @@ CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
   }
   if (pm.crash_mtbf > 0.0) {
     for (int r = 0; r < nranks; ++r) {
-      std::uint64_t cseq = 0;
-      double t = 0.0;
-      for (int k = 0; k < pm.crash_max_per_rank; ++k) {
-        // Exponential inter-failure gap; 1-u keeps the argument in (0, 1].
-        const double u = crash_uniform(seed, r, &cseq);
-        t += -pm.crash_mtbf * std::log(1.0 - u);
-        plan.by_rank[static_cast<std::size_t>(r)].push_back({t, -1});
-      }
+      std::uint64_t seq = 0;
+      auto& events = plan.by_rank[static_cast<std::size_t>(r)];
+      detail::poisson_arrivals(pm.crash_mtbf, pm.crash_max_per_rank, seed,
+                               kCrashStreamSalt, r, &seq,
+                               [&](double t) { events.push_back({t, -1}); });
     }
   }
   for (auto& v : plan.by_rank) {
@@ -206,12 +191,6 @@ CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
   std::vector<int> host(static_cast<std::size_t>(nranks));
   for (int p = 0; p < nranks; ++p) host[static_cast<std::size_t>(p)] = p;
   std::vector<int> degraded_dead;
-  const auto work = [&rm](int p) {
-    return static_cast<std::size_t>(p) < rm.rank_work.size() &&
-                   rm.rank_work[static_cast<std::size_t>(p)] > 0.0
-               ? rm.rank_work[static_cast<std::size_t>(p)]
-               : 1.0;
-  };
   // Refreshes host h's overload multiplier: a DegradeEvent at time t on
   // every partition h currently hosts. Classic ring mode keeps the original
   // partitions-per-host count; load-aware mode weights by the work
@@ -220,11 +199,11 @@ CrashPlan build_crash_plan(const PerturbationModel& pm, const RecoveryModel& rm,
     double hosted = 0.0;
     for (int p = 0; p < nranks; ++p) {
       if (host[static_cast<std::size_t>(p)] == h) {
-        hosted += rm.rebalance_fanout > 0 ? work(p) : 1.0;
+        hosted += rm.rebalance_fanout > 0 ? rank_work(rm, p) : 1.0;
       }
     }
     const double mult =
-        rm.rebalance_fanout > 0 ? hosted / work(h) : hosted;
+        rm.rebalance_fanout > 0 ? hosted / rank_work(rm, h) : hosted;
     for (int p = 0; p < nranks; ++p) {
       if (host[static_cast<std::size_t>(p)] != h) continue;
       plan.degrade_by_rank[static_cast<std::size_t>(p)].push_back(

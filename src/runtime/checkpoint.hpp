@@ -98,22 +98,20 @@ struct RecoveryStats {
   double checkpoint_time = 0.0;      ///< epoch capture + shipment time
 
   static const LedgerField kFields[];  ///< ledger.hpp
-  bool any() const { return crashes != 0 || checkpoints != 0; }
 };
 
 inline constexpr LedgerField RecoveryStats::kFields[] = {
-    {offsetof(RecoveryStats, crashes), LedgerField::kCount, "recovery.crashes"},
-    {offsetof(RecoveryStats, checkpoints), LedgerField::kCount, "checkpoint.epochs"},
-    {offsetof(RecoveryStats, checkpoint_bytes), LedgerField::kCount, "checkpoint.bytes"},
-    {offsetof(RecoveryStats, restores), LedgerField::kCount, nullptr},
-    {offsetof(RecoveryStats, spares_used), LedgerField::kCount, nullptr},
-    {offsetof(RecoveryStats, image_rejects), LedgerField::kCount,
-     "recovery.image_rejects"},
-    {offsetof(RecoveryStats, detect_time), LedgerField::kTime, nullptr},
-    {offsetof(RecoveryStats, repair_time), LedgerField::kTime, nullptr},
-    {offsetof(RecoveryStats, restore_time), LedgerField::kTime, nullptr},
-    {offsetof(RecoveryStats, replay_time), LedgerField::kTime, nullptr},
-    {offsetof(RecoveryStats, checkpoint_time), LedgerField::kTime, nullptr},
+    SPTRSV_LEDGER_FIELD(RecoveryStats, crashes, kCount, "recovery.crashes"),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, checkpoints, kCount, "checkpoint.epochs"),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, checkpoint_bytes, kCount, "checkpoint.bytes"),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, restores, kCount, nullptr),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, spares_used, kCount, nullptr),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, image_rejects, kCount, "recovery.image_rejects"),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, detect_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, repair_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, restore_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, replay_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(RecoveryStats, checkpoint_time, kTime, nullptr),
 };
 
 /// Per-rank graceful-degradation ledger (RunOptions::degrade): shrink,
@@ -137,24 +135,22 @@ struct DegradationStats {
   double overload_mult = 0.0;
 
   static const LedgerField kFields[];  ///< ledger.hpp
-  bool any() const { return degrades != 0 || partitions_adopted != 0; }
 };
 
 inline constexpr LedgerField DegradationStats::kFields[] = {
-    {offsetof(DegradationStats, degrades), LedgerField::kCount,
-     "recovery.degrade.events"},
-    {offsetof(DegradationStats, ranks_lost), LedgerField::kCount,
-     "recovery.degrade.ranks_lost"},
-    {offsetof(DegradationStats, partitions_adopted), LedgerField::kCount,
-     "recovery.degrade.adopted"},
-    {offsetof(DegradationStats, redistributed_bytes), LedgerField::kCount,
-     "recovery.degrade.bytes"},
-    {offsetof(DegradationStats, agree_time), LedgerField::kTime, nullptr},
-    {offsetof(DegradationStats, shrink_time), LedgerField::kTime, nullptr},
-    {offsetof(DegradationStats, redistribute_time), LedgerField::kTime, nullptr},
-    {offsetof(DegradationStats, replay_time), LedgerField::kTime, nullptr},
-    {offsetof(DegradationStats, overload_time), LedgerField::kTime, nullptr},
-    {offsetof(DegradationStats, overload_mult), LedgerField::kPeak, nullptr},
+    SPTRSV_LEDGER_FIELD(DegradationStats, degrades, kCount, "recovery.degrade.events"),
+    SPTRSV_LEDGER_FIELD(DegradationStats, ranks_lost, kCount,
+                        "recovery.degrade.ranks_lost"),
+    SPTRSV_LEDGER_FIELD(DegradationStats, partitions_adopted, kCount,
+                        "recovery.degrade.adopted"),
+    SPTRSV_LEDGER_FIELD(DegradationStats, redistributed_bytes, kCount,
+                        "recovery.degrade.bytes"),
+    SPTRSV_LEDGER_FIELD(DegradationStats, agree_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(DegradationStats, shrink_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(DegradationStats, redistribute_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(DegradationStats, replay_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(DegradationStats, overload_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(DegradationStats, overload_mult, kPeak, nullptr),
 };
 
 /// Per-rank elasticity ledger (spare returns, world re-expansion, straggler
@@ -176,26 +172,23 @@ struct ElasticityStats {
   double straggler_time = 0.0;     ///< lag absorbed + mitigation sweeps
 
   static const LedgerField kFields[];  ///< ledger.hpp
-  bool any() const { return returns != 0 || stragglers != 0; }
 };
 
 inline constexpr LedgerField ElasticityStats::kFields[] = {
-    {offsetof(ElasticityStats, returns), LedgerField::kCount, "recovery.elastic.returns"},
-    {offsetof(ElasticityStats, expansions), LedgerField::kCount,
-     "recovery.elastic.expansions"},
-    {offsetof(ElasticityStats, transfers), LedgerField::kCount,
-     "recovery.elastic.transfers"},
-    {offsetof(ElasticityStats, transfer_bytes), LedgerField::kCount,
-     "recovery.elastic.bytes"},
-    {offsetof(ElasticityStats, stragglers), LedgerField::kCount,
-     "recovery.straggler.events"},
-    {offsetof(ElasticityStats, rebalances), LedgerField::kCount,
-     "recovery.straggler.rebalances"},
-    {offsetof(ElasticityStats, agree_time), LedgerField::kTime, nullptr},
-    {offsetof(ElasticityStats, expand_time), LedgerField::kTime, nullptr},
-    {offsetof(ElasticityStats, transfer_time), LedgerField::kTime, nullptr},
-    {offsetof(ElasticityStats, replay_time), LedgerField::kTime, nullptr},
-    {offsetof(ElasticityStats, straggler_time), LedgerField::kTime, nullptr},
+    SPTRSV_LEDGER_FIELD(ElasticityStats, returns, kCount, "recovery.elastic.returns"),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, expansions, kCount,
+                        "recovery.elastic.expansions"),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, transfers, kCount, "recovery.elastic.transfers"),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, transfer_bytes, kCount,
+                        "recovery.elastic.bytes"),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, stragglers, kCount, "recovery.straggler.events"),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, rebalances, kCount,
+                        "recovery.straggler.rebalances"),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, agree_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, expand_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, transfer_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, replay_time, kTime, nullptr),
+    SPTRSV_LEDGER_FIELD(ElasticityStats, straggler_time, kTime, nullptr),
 };
 
 /// One captured solve-state image, conceptually resident at the owner's
@@ -305,12 +298,6 @@ struct CrashPlan {
   /// Spare-return schedule per returning rank (empty without repair knobs or
   /// when every return was inert); consulted only under RunOptions::degrade.
   std::vector<std::vector<ElasticEvent>> elastic_by_rank;
-  bool any() const {
-    for (const auto& v : by_rank) {
-      if (!v.empty()) return true;
-    }
-    return false;
-  }
 };
 
 /// Pure geometry of one elastic shrink: who inherits the newest victim's

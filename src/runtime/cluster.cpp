@@ -2169,6 +2169,11 @@ ElasticityStats Cluster::Result::elasticity_stats() const {
   return ledger_total(ranks, &FaultLedger::elasticity);
 }
 
+FaultLedger Cluster::Result::fault_totals() const {
+  return {transport_totals(), recovery_stats(), sdc_stats(), degradation_stats(),
+          elasticity_stats()};
+}
+
 std::uint64_t Cluster::Result::fault_fingerprint() const {
   // Extends fingerprint() with the fault ledger; with no faults injected
   // every ledger field is zero and fault_vtime == vtime, so this value is

@@ -188,19 +188,29 @@ struct FaultLedger {
   DegradationStats degradation;  ///< shrink-and-redistribute recovery
   ElasticityStats elasticity;    ///< spare returns and straggler watchdog
 
+  /// Calls fn(name, table, base) for every part in ledger order: the
+  /// member's name, its field table and its byte offset in the ledger.
+  template <class Fn>
+  static void each_part(Fn&& fn) {
+    using Table = std::span<const LedgerField>;
+    fn("transport", Table(TransportStats::kFields), offsetof(FaultLedger, transport));
+    fn("recovery", Table(RecoveryStats::kFields), offsetof(FaultLedger, recovery));
+    fn("sdc", Table(SdcStats::kFields), offsetof(FaultLedger, sdc));
+    fn("degradation", Table(DegradationStats::kFields),
+       offsetof(FaultLedger, degradation));
+    fn("elasticity", Table(ElasticityStats::kFields),
+       offsetof(FaultLedger, elasticity));
+  }
+
   /// Calls fn(field, offset) for every field, part by part in table order
   /// (the fault_fingerprint order); `offset` is the field's byte offset in
   /// the ledger (read it with ledger_get).
   template <class Fn>
   static void each_field(Fn&& fn) {
-    auto part = [&fn](const auto& table, std::size_t base) {
+    each_part([&fn](const char*, std::span<const LedgerField> table,
+                    std::size_t base) {
       for (const LedgerField& f : table) fn(f, base + f.offset);
-    };
-    part(TransportStats::kFields, offsetof(FaultLedger, transport));
-    part(RecoveryStats::kFields, offsetof(FaultLedger, recovery));
-    part(SdcStats::kFields, offsetof(FaultLedger, sdc));
-    part(DegradationStats::kFields, offsetof(FaultLedger, degradation));
-    part(ElasticityStats::kFields, offsetof(FaultLedger, elasticity));
+    });
   }
 };
 
@@ -496,6 +506,8 @@ class Cluster {
     SdcStats sdc_stats() const;
     DegradationStats degradation_stats() const;
     ElasticityStats elasticity_stats() const;
+    /// All five parts above, as one ledger.
+    FaultLedger fault_totals() const;
     /// Mean over ranks of one category (paper plots rank-averaged bars).
     double mean_category(TimeCategory cat) const;
     double max_category(TimeCategory cat) const;

@@ -6,9 +6,10 @@
 /// Each per-class part of the fault ledger (TransportStats, RecoveryStats,
 /// SdcStats, DegradationStats, ElasticityStats) is a padding-free run of
 /// 8-byte fields described by one static table, `kFields`: per field, its
-/// offset, how per-rank values merge, and the metric that mirrors it.
-/// Merging, metric registration and Result::fault_fingerprint are loops
-/// over these tables, so a new field is one table entry.
+/// offset and name, how per-rank values merge, and the metric that mirrors
+/// it. Merging, metric registration, Result::fault_fingerprint and the
+/// fault_summary printer are loops over these tables, so a new field is one
+/// table entry.
 
 #include <algorithm>
 #include <cstddef>
@@ -25,11 +26,17 @@ struct LedgerField {
     kPeak,   ///< double, max over ranks
   };
   std::size_t offset;  ///< byte offset of the field in its stats struct
+  const char* name;    ///< the member's name, as spelled in its struct
   Kind kind;
   /// Counter that mirrors a kCount field (every charge bumps both), or
   /// nullptr when the field has no metric.
   const char* metric;
 };
+
+/// The LedgerField of member `f` of stats struct `S`: its offset and name,
+/// merge kind `kind` (kCount / kTime / kPeak) and mirroring metric.
+#define SPTRSV_LEDGER_FIELD(S, f, kind, metric) \
+  { offsetof(S, f), #f, LedgerField::kind, metric }
 
 /// The 8-byte field at byte offset `off` of `stats`, read as a T (the
 /// field's type is named by its table entry).

@@ -20,6 +20,7 @@
 /// machine); the seed lives in RunOptions so one machine description can be
 /// swept over many perturbation seeds.
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -231,11 +232,6 @@ struct PerturbationModel {
   /// faults at epoch boundaries; with ABFT the clean ledger and solution
   /// are still never altered).
   bool sdc_active() const { return !mem_faults.empty() || sdc_rate > 0.0; }
-
-  /// True if any spare-return knob is set (these can re-expand a degraded
-  /// world under RunOptions::degrade; the clean ledger is still never
-  /// altered, and with no preceding degrade events they are fully inert).
-  bool repair_active() const { return !returns.empty() || repair_mtbf > 0.0; }
 };
 
 namespace detail {
@@ -254,6 +250,30 @@ inline double perturb_uniform(std::uint64_t seed, std::uint64_t rank,
                               std::uint64_t seq) {
   const std::uint64_t h = hash64(hash64(seed ^ (rank << 32)) ^ seq);
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// Next draw of one fault class's stream: `salt` separates the class from
+/// every other draw class and `*seq` is the class's own per-rank counter,
+/// so arming one fault class never shifts a draw of another.
+inline double salted_uniform(std::uint64_t seed, std::uint64_t salt, int rank,
+                             std::uint64_t* seq) {
+  return perturb_uniform(hash64(seed ^ salt), static_cast<std::uint64_t>(rank),
+                         (*seq)++);
+}
+
+/// Poisson arrivals of one fault class at `rank`: `count` times with
+/// exponential gaps of mean `mean`, each gap drawn from the class's salted
+/// stream, handed to push(t) in order. push may draw more from the same
+/// stream (`*seq`) before the next gap.
+template <class Push>
+void poisson_arrivals(double mean, int count, std::uint64_t seed, std::uint64_t salt,
+                      int rank, std::uint64_t* seq, Push&& push) {
+  double t = 0.0;
+  for (int k = 0; k < count; ++k) {
+    // Exponential gap; 1-u keeps the argument in (0, 1].
+    t += -mean * std::log(1.0 - salted_uniform(seed, salt, rank, seq));
+    push(t);
+  }
 }
 
 }  // namespace detail

@@ -14,8 +14,7 @@ namespace {
 constexpr std::uint64_t kFaultStreamSalt = 0xFA17C0DE5EEDULL;
 
 double fault_uniform(std::uint64_t seed, int rank, std::uint64_t* fseq) {
-  return detail::perturb_uniform(detail::hash64(seed ^ kFaultStreamSalt),
-                                 static_cast<std::uint64_t>(rank), (*fseq)++);
+  return detail::salted_uniform(seed, kFaultStreamSalt, rank, fseq);
 }
 
 /// Stall state of one frame crossing `src -> dst` at sender clock `t`.

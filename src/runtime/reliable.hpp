@@ -71,23 +71,20 @@ struct TransportStats {
   std::int64_t reordered = 0;      ///< straggler frames resequenced on arrival
 
   static const LedgerField kFields[];  ///< ledger.hpp
-  bool any() const {
-    return data_frames != 0 || acks != 0 || duplicates != 0 || reordered != 0;
-  }
 };
 
 inline constexpr LedgerField TransportStats::kFields[] = {
-    {offsetof(TransportStats, data_frames), LedgerField::kCount, nullptr},
-    {offsetof(TransportStats, retransmits), LedgerField::kCount, "transport.retransmits"},
-    {offsetof(TransportStats, retrans_bytes), LedgerField::kCount, nullptr},
-    {offsetof(TransportStats, timeouts), LedgerField::kCount, "transport.timeouts"},
-    {offsetof(TransportStats, frames_dropped), LedgerField::kCount,
-     "transport.frames_dropped"},
-    {offsetof(TransportStats, acks), LedgerField::kCount, "transport.acks"},
-    {offsetof(TransportStats, ack_bytes), LedgerField::kCount, nullptr},
-    {offsetof(TransportStats, corrupt_detected), LedgerField::kCount, nullptr},
-    {offsetof(TransportStats, duplicates), LedgerField::kCount, "transport.duplicates"},
-    {offsetof(TransportStats, reordered), LedgerField::kCount, nullptr},
+    SPTRSV_LEDGER_FIELD(TransportStats, data_frames, kCount, nullptr),
+    SPTRSV_LEDGER_FIELD(TransportStats, retransmits, kCount, "transport.retransmits"),
+    SPTRSV_LEDGER_FIELD(TransportStats, retrans_bytes, kCount, nullptr),
+    SPTRSV_LEDGER_FIELD(TransportStats, timeouts, kCount, "transport.timeouts"),
+    SPTRSV_LEDGER_FIELD(TransportStats, frames_dropped, kCount,
+                        "transport.frames_dropped"),
+    SPTRSV_LEDGER_FIELD(TransportStats, acks, kCount, "transport.acks"),
+    SPTRSV_LEDGER_FIELD(TransportStats, ack_bytes, kCount, nullptr),
+    SPTRSV_LEDGER_FIELD(TransportStats, corrupt_detected, kCount, nullptr),
+    SPTRSV_LEDGER_FIELD(TransportStats, duplicates, kCount, "transport.duplicates"),
+    SPTRSV_LEDGER_FIELD(TransportStats, reordered, kCount, nullptr),
 };
 
 /// Why a run terminated on a fault instead of completing.

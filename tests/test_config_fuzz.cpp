@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdio>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "core/sptrsv3d.hpp"
 #include "factor/sptrsv_seq.hpp"
@@ -69,6 +71,21 @@ std::vector<FuzzCase> make_cases() {
 
 class ConfigFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
+/// One fault-spec token "key=value," with the drawn value printed to 17
+/// significant digits, so it parses back to the same double.
+std::string format_knob(const char* key, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s=%.17g,", key, value);
+  return buf;
+}
+
+/// A "crash=R@T" event token (no trailing comma).
+std::string format_knob(const char* key, int rank, double vt) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s=%d@%.17g", key, rank, vt);
+  return buf;
+}
+
 TEST_P(ConfigFuzzTest, DistributedMatchesSequential) {
   const FuzzCase& c = GetParam();
   const CsrMatrix a = make_grid2d(14, 14, Stencil2d::kNinePoint, {.seed = c.seed});
@@ -124,14 +141,14 @@ TEST_P(ConfigFuzzTest, CleanLedgerInvariantUnderCrashAndDeliveryFaults) {
   cfg.run.schedule_seed = c.schedule_seed;
   cfg.run.priority_points = c.priority_points;
   cfg.run.delay_budget = c.delay_budget;
-  MachineModel m = MachineModel::cori_haswell();
   std::mt19937_64 knobs(c.seed ^ 0xC7A5);
   std::uniform_real_distribution<double> u01(0.0, 1.0);
-  m.perturb.drop_prob = 0.10 * u01(knobs);
-  m.perturb.dup_prob = 0.05 * u01(knobs);
-  m.perturb.corrupt_prob = 0.02 * u01(knobs);
-  m.perturb.reorder_prob = 0.05 * u01(knobs);
-  m.perturb.reorder_window = 5e-6;
+  std::string spec;
+  for (const auto& [key, scale] : {std::pair{"drop_prob", 0.10}, {"dup_prob", 0.05},
+                                  {"corrupt_prob", 0.02}, {"reorder_prob", 0.05}}) {
+    spec += format_knob(key, scale * u01(knobs));
+  }
+  spec += "reorder_window=5e-6";
   const int nranks = c.shape.px * c.shape.py * c.shape.pz;
   const int victim = nranks > 1 ? 1 + static_cast<int>(knobs() %
                                       static_cast<std::uint64_t>(nranks - 1))
@@ -142,17 +159,14 @@ TEST_P(ConfigFuzzTest, CleanLedgerInvariantUnderCrashAndDeliveryFaults) {
     const double t =
         (0.25 + 0.5 * u01(knobs)) *
         clean.run_stats.ranks[static_cast<size_t>(victim)].vtime;
-    m.perturb.crashes.push_back({victim, t});
+    spec += "," + format_knob("crash", victim, t);
   }
-  const DistSolveOutcome faulty = solve_system_3d(fs, b, cfg, m);
+  SCOPED_TRACE("faults " + spec);
+  const test::Scenario s = test::scenario(spec, MachineModel::cori_haswell(), cfg.run);
+  cfg.run = s.run;
+  const DistSolveOutcome faulty = solve_system_3d(fs, b, cfg, s.machine);
 
-  ASSERT_EQ(clean.x.size(), faulty.x.size());
-  for (size_t i = 0; i < clean.x.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&clean.x[i], &faulty.x[i], sizeof(Real)), 0)
-        << "solution bit " << i << " moved under faults";
-  }
-  EXPECT_EQ(clean.run_stats.fingerprint(), faulty.run_stats.fingerprint());
-  EXPECT_DOUBLE_EQ(clean.run_stats.makespan(), faulty.run_stats.makespan());
+  test::expect_clean_twin(clean, faulty);
   if (victim >= 0) {
     EXPECT_GE(faulty.run_stats.recovery_stats().crashes, 1);
     EXPECT_GT(faulty.run_stats.fault_makespan(), faulty.run_stats.makespan());
@@ -185,27 +199,25 @@ TEST_P(ConfigFuzzTest, CleanLedgerInvariantUnderElasticDegradation) {
   // only legitimate terminal verdict is kNoSurvivors (the survivor quorum
   // genuinely ran out); a completed run must match the fault-free twin bit
   // for bit on the clean ledger.
-  cfg.run.degrade = true;
-  cfg.run.abft = true;
-  MachineModel m = MachineModel::cori_haswell();
-  m.recovery.spare_ranks = 0;
+  std::string spec = "spare_ranks=0,degrade,abft,";
   std::mt19937_64 knobs(c.seed ^ 0xDE64);
   std::uniform_real_distribution<double> u01(0.0, 1.0);
-  m.perturb.drop_prob = 0.10 * u01(knobs);
-  m.perturb.dup_prob = 0.05 * u01(knobs);
-  m.perturb.corrupt_prob = 0.02 * u01(knobs);
-  m.perturb.reorder_prob = 0.05 * u01(knobs);
-  m.perturb.reorder_window = 5e-6;
-  m.perturb.sdc_rate = 2e4 * u01(knobs);
+  for (const auto& [key, scale] : {std::pair{"drop_prob", 0.10}, {"dup_prob", 0.05},
+                                  {"corrupt_prob", 0.02}, {"reorder_prob", 0.05}}) {
+    spec += format_knob(key, scale * u01(knobs));
+  }
+  spec += "reorder_window=5e-6,";
+  spec += format_knob("sdc_rate", 2e4 * u01(knobs));
   // Rare extra deaths beyond the scheduled one (expected << 1 per rank).
-  m.perturb.crash_mtbf = (4.0 + 8.0 * u01(knobs)) * clean.run_stats.makespan();
+  const double makespan = clean.run_stats.makespan();
+  spec += format_knob("crash_mtbf", (4.0 + 8.0 * u01(knobs)) * makespan);
   // Elastic re-expansion layer: a Poisson repair stream that may return
   // dead nodes mid-solve, and (every other case) load-aware rebalancing
   // splitting a victim's partitions across the least-loaded survivors.
   // Neither may leave a trace on the clean ledger.
-  m.perturb.repair_mtbf = (0.5 + 2.0 * u01(knobs)) * clean.run_stats.makespan();
-  m.perturb.repair_max_per_rank = 1 + static_cast<int>(knobs() % 3);
-  if (knobs() % 2 == 0) m.recovery.rebalance_fanout = 1 + static_cast<int>(knobs() % 3);
+  spec += format_knob("repair_mtbf", (0.5 + 2.0 * u01(knobs)) * makespan);
+  spec += "repair_max_per_rank=" + std::to_string(1 + knobs() % 3);
+  if (knobs() % 2 == 0) spec += ",rebalance_fanout=" + std::to_string(1 + knobs() % 3);
   const int nranks = c.shape.px * c.shape.py * c.shape.pz;
   const int victim = nranks > 1 ? 1 + static_cast<int>(knobs() %
                                       static_cast<std::uint64_t>(nranks - 1))
@@ -214,17 +226,14 @@ TEST_P(ConfigFuzzTest, CleanLedgerInvariantUnderElasticDegradation) {
     const double t =
         (0.25 + 0.5 * u01(knobs)) *
         clean.run_stats.ranks[static_cast<size_t>(victim)].vtime;
-    m.perturb.crashes.push_back({victim, t});
+    spec += "," + format_knob("crash", victim, t);
   }
+  SCOPED_TRACE("faults " + spec);
+  const test::Scenario s = test::scenario(spec, MachineModel::cori_haswell(), cfg.run);
+  cfg.run = s.run;
   try {
-    const DistSolveOutcome faulty = solve_system_3d(fs, b, cfg, m);
-    ASSERT_EQ(clean.x.size(), faulty.x.size());
-    for (size_t i = 0; i < clean.x.size(); ++i) {
-      ASSERT_EQ(std::memcmp(&clean.x[i], &faulty.x[i], sizeof(Real)), 0)
-          << "solution bit " << i << " moved under elastic degradation";
-    }
-    EXPECT_EQ(clean.run_stats.fingerprint(), faulty.run_stats.fingerprint());
-    EXPECT_DOUBLE_EQ(clean.run_stats.makespan(), faulty.run_stats.makespan());
+    const DistSolveOutcome faulty = solve_system_3d(fs, b, cfg, s.machine);
+    test::expect_clean_twin(clean, faulty);
     EXPECT_EQ(faulty.run_stats.recovery_stats().spares_used, 0);
     if (victim >= 0) {
       // The scheduled death had no spare: it must have degraded.

@@ -312,36 +312,5 @@ TEST(ImageIntegrity, CorruptImageEscalatesDegradeToReplayFromStart) {
   EXPECT_EQ(degraded.run_stats.fingerprint(), clean.run_stats.fingerprint());
 }
 
-// ---------------------------------------------------------------------------
-// Arming degrade without terminal crashes changes nothing at all.
-// ---------------------------------------------------------------------------
-
-TEST(GracefulDegradation, ArmedWithoutTerminalCrashesIsInert) {
-  const CsrMatrix a =
-      make_paper_matrix(PaperMatrix::kS2D9pt2048, MatrixScale::kTiny);
-  const FactoredSystem fs = analyze_and_factor(a, /*nd_levels=*/3);
-  const auto b = random_rhs(a.rows(), 1, 42);
-  SolveConfig cfg;
-  cfg.shape = {2, 2, 2};
-  cfg.run = kDet;
-  const DistSolveOutcome clean = solve_system_3d(fs, b, cfg, test_machine());
-
-  // Spares available: the crash takes the ordinary spare-adoption path and
-  // the armed degrade machinery must not fire or shift a single fault draw.
-  MachineModel m = test_machine();
-  m.perturb.crashes = {{2, 0.5 * clean.run_stats.ranks[2].vtime}};
-  SolveConfig scfg = cfg;
-  const DistSolveOutcome spared = solve_system_3d(fs, b, scfg, m);
-  SolveConfig dcfg = cfg;
-  dcfg.run = kDegradeOpts;
-  const DistSolveOutcome armed = solve_system_3d(fs, b, dcfg, m);
-
-  EXPECT_FALSE(armed.run_stats.degradation_stats().any());
-  EXPECT_EQ(armed.run_stats.recovery_stats().spares_used, 1);
-  EXPECT_TRUE(test::stats_identical(armed.run_stats, spared.run_stats));
-  EXPECT_EQ(armed.run_stats.fault_fingerprint(),
-            spared.run_stats.fault_fingerprint());
-}
-
 }  // namespace
 }  // namespace sptrsv

@@ -17,12 +17,11 @@ namespace {
 
 /// Golden-fingerprint corpus: the clean-ledger fingerprint of a 2x2x2
 /// deterministic solve of every Table-1 matrix, for both 3D algorithms,
-/// two perturbation seeds, and two ABFT-armed variants (fault-free and
-/// seeded-SDC), pinned in tests/golden_fingerprints.txt, plus the
-/// fault_fingerprint of one run per fault class. Any
-/// drift — a clock-model change, a reordered reduction, a perturbation
-/// stream change, a fault-ledger field that moved — fails here with the
-/// exact (matrix, algorithm, seed) that moved. Intentional changes
+/// two perturbation seeds, and the fault scenarios of kScenarios, pinned in
+/// tests/golden_fingerprints.txt, plus the fault_fingerprint of one run per
+/// fault class. Any drift — a clock-model change, a reordered reduction, a
+/// perturbation stream change, a fault-ledger field that moved — fails here
+/// with the exact (matrix, algorithm, seed) that moved. Intentional changes
 /// regenerate the corpus:
 ///
 ///   SPTRSV_GOLDEN_REGEN=tests/golden_fingerprints.txt ./build/tests/test_golden
@@ -38,29 +37,41 @@ std::string fp_hex(std::uint64_t fp) {
   return os.str();
 }
 
+/// The corpus's fault scenarios, one fault spec each, applied to the seed-0
+/// perturbed solve. "abft0" arms ABFT with no faults, "sdc0" adds an
+/// aggressive memory-fault rate, "degrade0" empties the spare pool under
+/// one scheduled rank death absorbed by elastic degradation, "elastic0"
+/// adds a spare-return event that re-expands the degraded world mid-solve,
+/// "drop0" runs over a 5% frame-drop network and "crash0" absorbs one
+/// scheduled death with a spare. Every scenario must be the plain "0" run's
+/// clean twin (test::expect_clean_twin) — the corpus pins the
+/// docs/ROBUSTNESS.md contract that verification, correction, recovery,
+/// shrink-and-redistribute and re-expansion never touch the clean ledger —
+/// and must fire as `ledger` demands (test::expect_ledger).
+struct GoldenScenario {
+  const char* token;
+  const char* spec;
+  const char* ledger;
+  bool clean_row;  ///< pin "<token>": the clean fingerprint
+  bool fault_row;  ///< pin "fault:<token>": the fault_fingerprint
+};
+
+const GoldenScenario kScenarios[] = {
+    {"abft0", "abft", "", true, false},
+    {"sdc0", "abft,sdc_rate=5e4", "sdc.injected>0", true, true},
+    {"degrade0", "spare_ranks=0,degrade,crash=1@1e-5", "degradation.degrades>0", true,
+     true},
+    {"elastic0", "spare_ranks=0,degrade,crash=1@1e-5,return=1@8e-5",
+     "elasticity.returns>0", true, true},
+    {"drop0", "drop_prob=0.05", "transport.retransmits>0", false, true},
+    {"crash0", "crash=1@1e-5", "recovery.spares_used=1", false, true},
+};
+
 /// "<matrix> <algorithm> <seed-token>" -> fingerprint hex, for all 132
 /// corpus entries, computed fresh. Seed tokens "0"/"1" are plain perturbed
-/// solves; "abft0" is the same seed-0 solve with ABFT armed and no faults,
-/// "sdc0" is seed 0 with ABFT armed over an aggressive memory-fault rate,
-/// "degrade0" is seed 0 with an empty spare pool, one scheduled rank
-/// death and elastic degradation absorbing it, and "elastic0" adds a
-/// spare-return event that re-expands the degraded world mid-solve. All
-/// four fault rows must equal the plain "0" row bit for bit — the corpus
-/// pins the docs/ROBUSTNESS.md contract that verification, correction,
-/// shrink-and-redistribute recovery and elastic re-expansion never touch
-/// the clean ledger.
-///
-/// Tokens "fault:<class>" pin the fault ledger itself: the
-/// fault_fingerprint of the sdc0, degrade0 and elastic0 runs, of "drop0"
-/// (seed 0 over a 5% frame-drop network) and of "crash0" (seed 0 with one
-/// scheduled rank death absorbed by a spare). The drop0 and crash0 runs
-/// must also reproduce the plain "0" row's clean fingerprint.
+/// solves; the other tokens are the kScenarios rows.
 std::map<std::string, std::string> compute_corpus() {
   std::map<std::string, std::string> out;
-  auto record_fault = [&out](const std::string& base, const char* token,
-                             const DistSolveOutcome& res) {
-    out[base + " fault:" + token] = fp_hex(res.run_stats.fault_fingerprint());
-  };
   for (const PaperMatrix pm : all_paper_matrices()) {
     const CsrMatrix a = make_paper_matrix(pm, MatrixScale::kTiny);
     const FactoredSystem fs = analyze_and_factor(a, 3);
@@ -68,110 +79,29 @@ std::map<std::string, std::string> compute_corpus() {
     for (const Algorithm3d alg : {Algorithm3d::kProposed, Algorithm3d::kBaseline}) {
       const std::string base = paper_matrix_name(pm) + " " +
                                (alg == Algorithm3d::kProposed ? "proposed" : "baseline");
-      for (const std::uint64_t seed : {0, 1}) {
+      auto solve = [&](std::uint64_t seed, std::string_view spec) {
         SolveConfig cfg;
         cfg.shape = {2, 2, 2};
         cfg.algorithm = alg;
-        cfg.run = RunOptions{.seed = seed};
-        // Perturbations are seeded, so the perturbed clocks are part of
-        // what the fingerprint pins — seeds 0 and 1 are distinct entries.
-        const DistSolveOutcome res =
-            solve_system_3d(fs, b, cfg, test::perturbed_machine());
-        out[base + " " + std::to_string(seed)] = fp_hex(res.run_stats.fingerprint());
-      }
-      for (const bool faulted : {false, true}) {
-        SolveConfig cfg;
-        cfg.shape = {2, 2, 2};
-        cfg.algorithm = alg;
-        cfg.run = RunOptions{.seed = 0};
-        cfg.run.abft = true;
-        MachineModel machine = test::perturbed_machine();
-        if (faulted) machine.perturb.sdc_rate = 5e4;
-        const DistSolveOutcome res = solve_system_3d(fs, b, cfg, machine);
-        const std::string key = base + (faulted ? " sdc0" : " abft0");
-        if (faulted) {
-          EXPECT_GT(res.run_stats.sdc_stats().injected, 0u)
-              << key << ": the seeded-SDC corpus row injected nothing";
+        const test::Scenario s =
+            test::scenario(spec, test::perturbed_machine(), RunOptions{.seed = seed});
+        cfg.run = s.run;
+        return solve_system_3d(fs, b, cfg, s.machine);
+      };
+      // Perturbations are seeded, so the perturbed clocks are part of what
+      // the fingerprint pins — seeds 0 and 1 are distinct entries.
+      const DistSolveOutcome plain = solve(0, "");
+      out[base + " 0"] = fp_hex(plain.run_stats.fingerprint());
+      out[base + " 1"] = fp_hex(solve(1, "").run_stats.fingerprint());
+      for (const GoldenScenario& g : kScenarios) {
+        SCOPED_TRACE(base + " " + g.token);
+        const DistSolveOutcome res = solve(0, g.spec);
+        test::expect_clean_twin(plain, res);
+        test::expect_ledger(res.run_stats, g.ledger);
+        if (g.clean_row) out[base + " " + g.token] = fp_hex(res.run_stats.fingerprint());
+        if (g.fault_row) {
+          out[base + " fault:" + g.token] = fp_hex(res.run_stats.fault_fingerprint());
         }
-        EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
-            << key << ": ABFT-corrected fingerprint drifted from the clean row";
-        out[key] = fp_hex(res.run_stats.fingerprint());
-        if (faulted) record_fault(base, "sdc0", res);
-      }
-      {
-        // Elastic degradation row: a mid-solve death with no spares left,
-        // absorbed by shrink-and-redistribute. The shrunken world must
-        // still reproduce the clean row bit for bit.
-        SolveConfig cfg;
-        cfg.shape = {2, 2, 2};
-        cfg.algorithm = alg;
-        cfg.run = RunOptions{.seed = 0};
-        cfg.run.degrade = true;
-        MachineModel machine = test::perturbed_machine();
-        machine.recovery.spare_ranks = 0;
-        machine.perturb.crashes.push_back({1, 1e-5});
-        const DistSolveOutcome res = solve_system_3d(fs, b, cfg, machine);
-        const std::string key = base + " degrade0";
-        EXPECT_GT(res.run_stats.degradation_stats().degrades, 0)
-            << key << ": the scheduled crash never degraded";
-        EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
-            << key << ": degraded fingerprint drifted from the clean row";
-        out[key] = fp_hex(res.run_stats.fingerprint());
-        record_fault(base, "degrade0", res);
-      }
-      {
-        // Elastic re-expansion row: the same spare-less death, but the
-        // repaired node returns mid-solve and the world grows back to
-        // full width. Shrink, re-agree, image transfer and replay are all
-        // fault-ledger costs — the clean row must still match bit for bit.
-        SolveConfig cfg;
-        cfg.shape = {2, 2, 2};
-        cfg.algorithm = alg;
-        cfg.run = RunOptions{.seed = 0};
-        cfg.run.degrade = true;
-        MachineModel machine = test::perturbed_machine();
-        machine.recovery.spare_ranks = 0;
-        machine.perturb.crashes.push_back({1, 1e-5});
-        machine.perturb.returns.push_back({1, 8e-5});
-        const DistSolveOutcome res = solve_system_3d(fs, b, cfg, machine);
-        const std::string key = base + " elastic0";
-        EXPECT_GT(res.run_stats.elasticity_stats().returns, 0)
-            << key << ": the scheduled return never re-expanded";
-        EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
-            << key << ": elastic fingerprint drifted from the clean row";
-        out[key] = fp_hex(res.run_stats.fingerprint());
-        record_fault(base, "elastic0", res);
-      }
-      {
-        // Lossy-network row: the reliable transport absorbs every drop.
-        SolveConfig cfg;
-        cfg.shape = {2, 2, 2};
-        cfg.algorithm = alg;
-        cfg.run = RunOptions{.seed = 0};
-        MachineModel machine = test::perturbed_machine();
-        machine.perturb.drop_prob = 0.05;
-        const DistSolveOutcome res = solve_system_3d(fs, b, cfg, machine);
-        EXPECT_GT(res.run_stats.transport_totals().retransmits, 0)
-            << base << " drop0: no frame was ever retransmitted";
-        EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
-            << base << " drop0: lossy fingerprint drifted from the clean row";
-        record_fault(base, "drop0", res);
-      }
-      {
-        // Spare-adoption row: one mid-solve death, restored from the buddy
-        // checkpoint onto a spare.
-        SolveConfig cfg;
-        cfg.shape = {2, 2, 2};
-        cfg.algorithm = alg;
-        cfg.run = RunOptions{.seed = 0};
-        MachineModel machine = test::perturbed_machine();
-        machine.perturb.crashes.push_back({1, 1e-5});
-        const DistSolveOutcome res = solve_system_3d(fs, b, cfg, machine);
-        EXPECT_EQ(res.run_stats.recovery_stats().spares_used, 1)
-            << base << " crash0: the scheduled crash was not absorbed by a spare";
-        EXPECT_EQ(fp_hex(res.run_stats.fingerprint()), out[base + " 0"])
-            << base << " crash0: recovered fingerprint drifted from the clean row";
-        record_fault(base, "crash0", res);
       }
     }
   }

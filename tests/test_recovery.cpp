@@ -8,7 +8,6 @@
 namespace sptrsv {
 namespace {
 
-using test::bitwise_equal;
 using test::random_rhs;
 using test::test_machine;
 
@@ -31,18 +30,6 @@ DistSolveOutcome solve(const test::RandomSystem& s, std::span<const Real> b,
   cfg.nrhs = s.nrhs;
   cfg.run = run;
   return solve_system_3d(s.fs, b, cfg, m);
-}
-
-/// The tentpole invariant, asserted everywhere below: a recovered run is
-/// bitwise indistinguishable from its fault-free twin on the clean ledger —
-/// solution, clean fingerprint, per-category message counts — while every
-/// recovery cost sits on the fault ledger.
-void expect_clean_ledger_invariant(const DistSolveOutcome& clean,
-                                   const DistSolveOutcome& crashed) {
-  EXPECT_TRUE(bitwise_equal(clean.x, crashed.x));
-  EXPECT_EQ(clean.run_stats.fingerprint(), crashed.run_stats.fingerprint());
-  EXPECT_DOUBLE_EQ(clean.run_stats.makespan(), crashed.run_stats.makespan());
-  EXPECT_TRUE(test::message_counts_identical(clean.run_stats, crashed.run_stats));
 }
 
 // ---------------------------------------------------------------------------
@@ -121,7 +108,7 @@ TEST(Checkpointing, BypassedWithoutCrashModel) {
     c.advance(1e-6, TimeCategory::kFp);
   }, kDet);
   EXPECT_EQ(r.recovery_stats().checkpoints, 0);
-  EXPECT_FALSE(r.recovery_stats().any());
+  EXPECT_TRUE(test::ledger_all_zero(r, "recovery"));
   EXPECT_DOUBLE_EQ(r.fault_makespan(), r.makespan());
 }
 
@@ -155,47 +142,6 @@ TEST(Checkpointing, TrafficLandsOnFaultLedgerOnly) {
 // End-to-end solver recovery: bit-identical solutions under crash schedules.
 // ---------------------------------------------------------------------------
 
-TEST(CrashRecovery, Solver2dBitIdenticalUnderCrash) {
-  const test::RandomSystem s = test::random_system(41);
-  const auto b = random_rhs(s.a.rows(), s.nrhs, 14);
-  const auto clean = solve(s, b, Algorithm3d::kProposed, test_machine());
-  // Kill a non-root rank halfway through its own solve.
-  const int victim = s.shape.size() > 1 ? 1 : 0;
-  const double t =
-      0.5 * clean.run_stats.ranks[static_cast<size_t>(victim)].vtime;
-  const auto crashed =
-      solve(s, b, Algorithm3d::kProposed, crashy_machine({{victim, t}}));
-  ASSERT_GE(crashed.run_stats.recovery_stats().crashes, 1);
-  expect_clean_ledger_invariant(clean, crashed);
-  EXPECT_GT(crashed.run_stats.fault_makespan(), crashed.run_stats.makespan());
-}
-
-TEST(CrashRecovery, Proposed3dBitIdenticalUnderCrash) {
-  const test::RandomSystem s = test::random_system(7);  // draws pz >= 1
-  const auto b = random_rhs(s.a.rows(), s.nrhs, 3);
-  const auto clean = solve(s, b, Algorithm3d::kProposed, test_machine());
-  const int victim = 1 % s.shape.size();
-  const double t =
-      0.5 * clean.run_stats.ranks[static_cast<size_t>(victim)].vtime;
-  const auto crashed =
-      solve(s, b, Algorithm3d::kProposed, crashy_machine({{victim, t}}));
-  ASSERT_GE(crashed.run_stats.recovery_stats().crashes, 1);
-  expect_clean_ledger_invariant(clean, crashed);
-}
-
-TEST(CrashRecovery, Baseline3dBitIdenticalUnderCrash) {
-  const test::RandomSystem s = test::random_system(7);
-  const auto b = random_rhs(s.a.rows(), s.nrhs, 3);
-  const auto clean = solve(s, b, Algorithm3d::kBaseline, test_machine());
-  const int victim = 1 % s.shape.size();
-  const double t =
-      0.5 * clean.run_stats.ranks[static_cast<size_t>(victim)].vtime;
-  const auto crashed =
-      solve(s, b, Algorithm3d::kBaseline, crashy_machine({{victim, t}}));
-  ASSERT_GE(crashed.run_stats.recovery_stats().crashes, 1);
-  expect_clean_ledger_invariant(clean, crashed);
-}
-
 TEST(CrashRecovery, KillingMakespanCriticalRankStillRecovers) {
   const test::RandomSystem s = test::random_system(23);
   const auto b = random_rhs(s.a.rows(), s.nrhs, 5);
@@ -212,7 +158,7 @@ TEST(CrashRecovery, KillingMakespanCriticalRankStillRecovers) {
   const auto crashed =
       solve(s, b, Algorithm3d::kProposed, crashy_machine({{critical, t}}));
   ASSERT_GE(crashed.run_stats.recovery_stats().crashes, 1);
-  expect_clean_ledger_invariant(clean, crashed);
+  test::expect_clean_twin(clean, crashed);
 }
 
 TEST(CrashRecovery, DoubleFailureDuringRecoveryWindow) {
@@ -233,7 +179,7 @@ TEST(CrashRecovery, DoubleFailureDuringRecoveryWindow) {
       crashy_machine({{v1, t1}, {v2, t1 + 1e-6}}));
   ASSERT_EQ(crashed.run_stats.recovery_stats().crashes, 2);
   EXPECT_EQ(crashed.run_stats.recovery_stats().spares_used, 2);
-  expect_clean_ledger_invariant(clean, crashed);
+  test::expect_clean_twin(clean, crashed);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,52 +214,6 @@ TEST(CrashRecovery, SparePoolExhaustionIsReported) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.fault.kind, FaultKind::kSparesExhausted);
   EXPECT_EQ(r.fault.rank, 2);
-}
-
-// ---------------------------------------------------------------------------
-// Stream isolation and trace byte-identity.
-// ---------------------------------------------------------------------------
-
-TEST(CrashRecovery, MtbfStreamNeverShiftsTimingOrDeliveryDraws) {
-  // Enabling an MTBF crash model on top of full timing perturbation and
-  // delivery faults must not move a single pre-existing draw: the crash
-  // stream is salted and counted separately.
-  const test::RandomSystem s = test::random_system(11);
-  const auto b = random_rhs(s.a.rows(), s.nrhs, 2);
-  MachineModel base = test::perturbed_machine();
-  const auto without = solve(s, b, Algorithm3d::kProposed, base,
-                             RunOptions{.seed = 5});
-  MachineModel with = base;
-  with.perturb.crash_mtbf = 10.0;  // active model, crashes far past the solve
-  const auto withm = solve(s, b, Algorithm3d::kProposed, with,
-                           RunOptions{.seed = 5});
-  EXPECT_TRUE(bitwise_equal(without.x, withm.x));
-  EXPECT_EQ(without.run_stats.fingerprint(), withm.run_stats.fingerprint());
-}
-
-TEST(CrashRecovery, CleanTraceJsonByteIdenticalUnderCrash) {
-  const test::RandomSystem s = test::random_system(7);
-  const auto b = random_rhs(s.a.rows(), s.nrhs, 3);
-  const RunOptions traced{.seed = 0, .trace = true};
-  const auto clean =
-      solve(s, b, Algorithm3d::kProposed, test_machine(), traced);
-  const int victim = 1 % s.shape.size();
-  const double t =
-      0.5 * clean.run_stats.ranks[static_cast<size_t>(victim)].vtime;
-  const auto crashed = solve(s, b, Algorithm3d::kProposed,
-                             crashy_machine({{victim, t}}), traced);
-  ASSERT_GE(crashed.run_stats.recovery_stats().crashes, 1);
-  ASSERT_NE(clean.run_stats.trace, nullptr);
-  ASSERT_NE(crashed.run_stats.trace, nullptr);
-  // Clean-ledger export: byte-identical to the fault-free twin.
-  EXPECT_EQ(clean.run_stats.trace->chrome_json(/*fault_ledger=*/false),
-            crashed.run_stats.trace->chrome_json(/*fault_ledger=*/false));
-  // Full-fidelity export: the crashed run carries crash/restore/checkpoint
-  // markers the clean run does not.
-  EXPECT_NE(clean.run_stats.trace->chrome_json(),
-            crashed.run_stats.trace->chrome_json());
-  EXPECT_NE(crashed.run_stats.trace->chrome_json(),
-            crashed.run_stats.trace->chrome_json(/*fault_ledger=*/false));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -15,7 +16,9 @@
 #include <mutex>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,7 +27,9 @@
 #include "dist/solve_plan.hpp"
 #include "factor/supernodal_lu.hpp"
 #include "ordering/nested_dissection.hpp"
+#include "runtime/fault_spec.hpp"
 #include "sparse/generators.hpp"
+#include "trace/trace.hpp"
 
 namespace sptrsv::test {
 
@@ -56,6 +61,72 @@ inline MachineModel faulty_machine(double drop = 0.1, double dup = 0.05,
   m.perturb.reorder_prob = reorder;
   m.perturb.reorder_window = 5e-6;
   return m;
+}
+
+/// A machine and run options with fault spec `spec` (runtime/fault_spec.hpp)
+/// applied on top of `machine` and `run`.
+struct Scenario {
+  MachineModel machine;
+  RunOptions run;
+};
+inline Scenario scenario(std::string_view spec, MachineModel machine = test_machine(),
+                         RunOptions run = {}) {
+  apply_fault_spec(spec, machine, run);
+  return {std::move(machine), run};
+}
+
+/// One field of the run's merged fault ledger, named "part.field" after the
+/// FaultLedger member and the field's table name (e.g. "recovery.crashes",
+/// "sdc.injected_by[0]"). Throws std::invalid_argument on an unknown name.
+inline double ledger_value(const Cluster::Result& r, std::string_view name) {
+  const FaultLedger total = r.fault_totals();
+  double value = 0.0;
+  bool found = false;
+  FaultLedger::each_part([&](const char* part, std::span<const LedgerField> table,
+                             std::size_t base) {
+    for (const LedgerField& f : table) {
+      if (name != std::string(part) + "." + f.name) continue;
+      found = true;
+      value = f.kind == LedgerField::kCount
+                  ? static_cast<double>(ledger_get<std::int64_t>(&total, base + f.offset))
+                  : ledger_get<double>(&total, base + f.offset);
+    }
+  });
+  if (!found) throw std::invalid_argument("no fault-ledger field " + std::string(name));
+  return value;
+}
+
+/// True if every field of the run's merged fault ledger — or, given `part`
+/// ("transport", "recovery", "sdc", "degradation", "elasticity"), of that
+/// part — is zero.
+inline bool ledger_all_zero(const Cluster::Result& r, std::string_view part = {}) {
+  const FaultLedger total = r.fault_totals();
+  bool zero = true;
+  FaultLedger::each_part([&](const char* name, std::span<const LedgerField> table,
+                             std::size_t base) {
+    if (!part.empty() && part != name) return;
+    for (const LedgerField& f : table) {
+      zero = zero && ledger_get<std::uint64_t>(&total, base + f.offset) == 0;
+    }
+  });
+  return zero;
+}
+
+/// Checks comma-separated ledger conditions against the run: "field>0"
+/// (nonzero) or "field=N" (exactly N), fields named as in ledger_value.
+inline void expect_ledger(const Cluster::Result& r, std::string_view conditions) {
+  while (!conditions.empty()) {
+    const std::string_view cond = conditions.substr(0, conditions.find(','));
+    conditions.remove_prefix(std::min(conditions.size(), cond.size() + 1));
+    const std::size_t op = cond.find_first_of(">=");
+    ASSERT_NE(op, std::string_view::npos) << "malformed condition " << cond;
+    const double v = ledger_value(r, cond.substr(0, op));
+    if (cond[op] == '>') {
+      EXPECT_GT(v, 0.0) << cond;
+    } else {
+      EXPECT_EQ(v, std::stod(std::string(cond.substr(op + 1)))) << cond;
+    }
+  }
 }
 
 /// Seeded dense RHS, n x nrhs column-major in [-1, 1).
@@ -390,6 +461,27 @@ inline ::testing::AssertionResult outcomes_identical(const DistSolveOutcome& a,
     }
   }
   return stats_identical(a.run_stats, b.run_stats);
+}
+
+/// The two-ledger property (docs/ROBUSTNESS.md): a faulty run is bitwise
+/// its fault-free twin on the clean ledger — solution bits, fingerprint(),
+/// makespan, message and byte counts and, when both runs were traced, the
+/// clean trace export — and the fault clock never runs behind the clean
+/// clock on any rank.
+inline void expect_clean_twin(const DistSolveOutcome& clean,
+                              const DistSolveOutcome& faulty) {
+  EXPECT_TRUE(bitwise_equal(clean.x, faulty.x)) << "solution moved under faults";
+  EXPECT_EQ(clean.run_stats.fingerprint(), faulty.run_stats.fingerprint());
+  EXPECT_DOUBLE_EQ(clean.run_stats.makespan(), faulty.run_stats.makespan());
+  EXPECT_TRUE(message_counts_identical(clean.run_stats, faulty.run_stats));
+  for (size_t r = 0; r < faulty.run_stats.ranks.size(); ++r) {
+    const RankStats& f = faulty.run_stats.ranks[r];
+    EXPECT_GE(f.fault_vtime, f.vtime) << "rank " << r;
+  }
+  if (clean.run_stats.trace != nullptr && faulty.run_stats.trace != nullptr) {
+    EXPECT_EQ(clean.run_stats.trace->chrome_json(/*fault_ledger=*/false),
+              faulty.run_stats.trace->chrome_json(/*fault_ledger=*/false));
+  }
 }
 
 }  // namespace sptrsv::test
