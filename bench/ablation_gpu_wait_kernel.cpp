@@ -12,6 +12,7 @@ using namespace sptrsv;
 using namespace sptrsv::bench;
 
 int main() {
+  print_gpu_fault_banner();
   const MachineModel machine = MachineModel::perlmutter();
   SystemCache cache;
   std::printf("# Ablation — WAIT+SOLVE two-kernel design vs naive resident-spin\n");
@@ -27,9 +28,9 @@ int main() {
       cfg.shape = {px, 1, pz};
       cfg.metrics = bench_json_enabled();
       cfg.schedule = GpuScheduleMode::kResidentSpin;
-      const auto naive = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
+      const auto naive = run_gpu_model(fs, cfg, machine);
       cfg.schedule = GpuScheduleMode::kTwoKernel;
-      const auto two = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
+      const auto two = run_gpu_model(fs, cfg, machine);
       const std::string stem_tail = paper_matrix_name(which) + "_" +
                                     std::to_string(px) + "x1x" +
                                     std::to_string(pz);

@@ -60,7 +60,8 @@ inline bool bench_json_enabled() { return !bench_json_dir().empty(); }
 
 /// SPTRSV_BENCH_FAULTS=<spec> runs every modeled CPU solve under one fault
 /// scenario spec (runtime/fault_spec.hpp, docs/ROBUSTNESS.md §Scenario
-/// spec), e.g. `drop_prob=0.05,crash_mtbf=0.05,sdc_rate=2e3,abft`. The
+/// spec), e.g. `drop_prob=0.05,crash_mtbf=0.05,sdc_rate=2e3,abft`, and
+/// every GPU-model solve under its SDC keys (apply_gpu_bench_faults). The
 /// fault stack never touches the clean ledger, so the printed tables are
 /// unchanged; each sweep point adds its fault ledger as `# ` lines.
 inline std::string bench_faults() {
@@ -218,6 +219,63 @@ inline std::vector<Real> bench_rhs(Idx n, Idx nrhs) {
     b[i] = 1.0 + 0.001 * static_cast<Real>(i % 977);
   }
   return b;
+}
+
+/// Applies SPTRSV_BENCH_FAULTS to one GPU-model solve. The discrete-event
+/// model has no runtime and no messages to lose: it honors only the
+/// memory-fault schedule (sdc_rate, sdc_max_per_rank, set on `machine`) and
+/// ABFT accounting (abft, set on `cfg`). Any other key, or a malformed
+/// spec, exits 2 naming it, as `sptrsv_cli --backend gpu` does.
+inline void apply_gpu_bench_faults(MachineModel& machine, GpuSolveConfig& cfg) {
+  const std::string faults = bench_faults();
+  if (faults.empty()) return;
+  RunOptions run;
+  try {
+    for (const std::string& key : apply_fault_spec(faults, machine, run)) {
+      if (key != "sdc_rate" && key != "sdc_max_per_rank" && key != "abft") {
+        std::fprintf(stderr,
+                     "SPTRSV_BENCH_FAULTS: the GPU model takes only sdc_rate, "
+                     "sdc_max_per_rank and abft, not '%s'\n",
+                     key.c_str());
+        std::exit(2);
+      }
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "SPTRSV_BENCH_FAULTS: %s\n", e.what());
+    std::exit(2);
+  }
+  cfg.abft = run.abft;
+}
+
+/// Leads a GPU-model bench: checks SPTRSV_BENCH_FAULTS before any work and
+/// prints its banner line.
+inline void print_gpu_fault_banner() {
+  MachineModel machine;
+  GpuSolveConfig cfg;
+  apply_gpu_bench_faults(machine, cfg);
+  if (const std::string spec = bench_faults(); !spec.empty()) {
+    std::printf("# faults: %s (tables unchanged; SDC ledger per solve)\n", spec.c_str());
+  }
+}
+
+/// Runs one GPU-model solve under SPTRSV_BENCH_FAULTS. With a spec set, the
+/// solve's SDC ledger follows as one `# ` line; the timings (and so the
+/// tables) do not depend on it.
+inline GpuSolveTimes run_gpu_model(const FactoredSystem& fs, GpuSolveConfig cfg,
+                                   MachineModel machine) {
+  apply_gpu_bench_faults(machine, cfg);
+  GpuSolveTimes t = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
+  if (!bench_faults().empty()) {
+    std::printf("# %s %dx%dx%d sdc: injected=%lld detected=%lld corrected=%lld "
+                "escalated=%lld checks=%lld abft_overhead=%.3e s\n",
+                cfg.backend == GpuBackend::kGpu ? "gpu" : "cpu", cfg.shape.px,
+                cfg.shape.py, cfg.shape.pz, static_cast<long long>(t.sdc.injected),
+                static_cast<long long>(t.sdc.detected),
+                static_cast<long long>(t.sdc.corrected),
+                static_cast<long long>(t.sdc.escalated),
+                static_cast<long long>(t.sdc.checks), t.abft_overhead);
+  }
+  return t;
 }
 
 /// Runs the threaded CPU 3D solve and returns the outcome.

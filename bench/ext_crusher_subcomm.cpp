@@ -13,6 +13,7 @@ using namespace sptrsv;
 using namespace sptrsv::bench;
 
 int main() {
+  print_gpu_fault_banner();
   MachineModel crusher = MachineModel::crusher();
   MachineModel what_if = crusher;
   what_if.name = "crusher+subcomm";
@@ -33,7 +34,7 @@ int main() {
       GpuSolveConfig cfg;
       cfg.shape = {1, 1, gpus};
       cfg.metrics = bench_json_enabled();
-      const auto res = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, crusher);
+      const auto res = run_gpu_model(fs, cfg, crusher);
       bench_report_gpu("today_1x1x" + std::to_string(gpus), res);
       today = res.total;
     }
@@ -47,7 +48,7 @@ int main() {
       GpuSolveConfig cfg;
       cfg.shape = {px, 1, pz};
       cfg.metrics = bench_json_enabled();
-      const auto res = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, what_if);
+      const auto res = run_gpu_model(fs, cfg, what_if);
       bench_report_gpu("subcomm_" + std::to_string(px) + "x1x" + std::to_string(pz),
                        res);
       const double v = res.total;

@@ -16,6 +16,7 @@ using namespace sptrsv;
 using namespace sptrsv::bench;
 
 int main() {
+  print_gpu_fault_banner();
   const MachineModel machine = MachineModel::perlmutter();
   const std::vector<PaperMatrix> matrices{
       PaperMatrix::kS1Mat0253872, PaperMatrix::kNlpkkt80, PaperMatrix::kGa19As19H42,
@@ -44,9 +45,9 @@ int main() {
         cfg.shape = {px, 1, pz};
         cfg.metrics = bench_json_enabled();
         cfg.backend = GpuBackend::kGpu;
-        const auto gpu = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
+        const auto gpu = run_gpu_model(fs, cfg, machine);
         cfg.backend = GpuBackend::kCpu;
-        const auto cpu = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
+        const auto cpu = run_gpu_model(fs, cfg, machine);
         const std::string stem_tail = paper_matrix_name(which) + "_" +
                                       std::to_string(px) + "x1x" +
                                       std::to_string(pz);

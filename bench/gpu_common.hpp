@@ -13,6 +13,7 @@ namespace sptrsv::bench {
 inline void run_gpu_1x1xpz_figure(const char* figure, const MachineModel& machine,
                                   const std::vector<PaperMatrix>& matrices,
                                   const char* paper_speedups) {
+  print_gpu_fault_banner();
   const std::vector<int> pz_sweep = full_sweep()
                                         ? std::vector<int>{1, 2, 4, 8, 16, 32, 64}
                                         : std::vector<int>{1, 4, 16, 64};
@@ -34,9 +35,9 @@ inline void run_gpu_1x1xpz_figure(const char* figure, const MachineModel& machin
         cfg.trace = !bench_trace_dir().empty();
         cfg.metrics = bench_json_enabled();
         cfg.backend = GpuBackend::kCpu;
-        const auto cpu = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
+        const auto cpu = run_gpu_model(fs, cfg, machine);
         cfg.backend = GpuBackend::kGpu;
-        const auto gpu = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
+        const auto gpu = run_gpu_model(fs, cfg, machine);
         const std::string stem_tail = paper_matrix_name(which) + "_1x1x" +
                                       std::to_string(pz) + "_r" +
                                       std::to_string(nrhs);

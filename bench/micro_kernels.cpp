@@ -1,7 +1,8 @@
 /// \file micro_kernels.cpp
-/// \brief google-benchmark microbenchmarks of the kernels the solve spends
-/// its time in: dense block GEMM/TRSM/LU, tree construction, and a SpMV
-/// bandwidth probe.
+/// \brief google-benchmark microbenchmarks of the kernels the solve and the
+/// factorization spend their time in: dense block GEMM (including the
+/// compacted Schur update)/TRSM/LU, tree construction, and a SpMV bandwidth
+/// probe.
 
 #include <benchmark/benchmark.h>
 
@@ -45,6 +46,26 @@ BENCHMARK(BM_GemmPanelUpdate)
     ->Args({96, 1})
     ->Args({32, 50})
     ->Args({96, 50});
+
+void BM_SchurUpdate(benchmark::State& state) {
+  // C(:,J) -= Lc * Uc(:,J): the factorization's trailing update on the
+  // compacted panels (packed nonzero L rows times packed nonzero U columns
+  // of one target block column). Arg0 = supernode width w, Arg1 = kept L
+  // rows, Arg2 = kept columns of the target block.
+  const Idx w = static_cast<Idx>(state.range(0));
+  const Idx m = static_cast<Idx>(state.range(1));
+  const Idx n = static_cast<Idx>(state.range(2));
+  const auto lc = random_matrix(m, w, 9);
+  const auto uc = random_matrix(w, n, 10);
+  auto cs = random_matrix(m, n, 11);
+  for (auto _ : state) {
+    gemm_minus_ld(m, w, n, lc, m, uc, w, cs, m);
+    benchmark::DoNotOptimize(cs.data());
+  }
+  state.counters["flops"] = benchmark::Counter(2.0 * m * n * w,
+                                               benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_SchurUpdate)->Args({16, 256, 16})->Args({48, 512, 48})->Args({96, 1024, 96});
 
 void BM_DiagApply(benchmark::State& state) {
   // y(K) = inv(L_KK) * rhs: the diagonal kernel.

@@ -10,6 +10,7 @@ using namespace sptrsv;
 using namespace sptrsv::bench;
 
 int main() {
+  print_gpu_fault_banner();
   const MachineModel machine = MachineModel::perlmutter();
   SystemCache cache;
   const FactoredSystem& fs =
@@ -25,9 +26,9 @@ int main() {
     cfg.nrhs = nrhs;
     cfg.metrics = bench_json_enabled();
     cfg.backend = GpuBackend::kCpu;
-    const auto cpu_res = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
+    const auto cpu_res = run_gpu_model(fs, cfg, machine);
     cfg.backend = GpuBackend::kGpu;
-    const auto gpu_res = simulate_solve_3d_gpu(fs.lu, fs.tree, cfg, machine);
+    const auto gpu_res = run_gpu_model(fs, cfg, machine);
     bench_report_gpu("cpu_r" + std::to_string(nrhs), cpu_res);
     bench_report_gpu("gpu_r" + std::to_string(nrhs), gpu_res);
     const double cpu = cpu_res.total;

@@ -40,6 +40,8 @@ SupernodalLU factor_supernodal_distributed(const CsrMatrix& a, SymbolicStructure
     const int mycol = shape.col_of(comm.rank());
     std::vector<Real> dk;       // this step's factored diagonal block
     std::vector<Real> lbuf, ubuf;  // received panel pieces
+    std::vector<SchurBlock> lblocks, ublocks;
+    SchurScratch ws;
 
     for (Idx k = 0; k < nsup; ++k) {
       const int kr = shape.owner_row(k);
@@ -156,42 +158,27 @@ SupernodalLU factor_supernodal_distributed(const CsrMatrix& a, SymbolicStructure
                    .data;
         usrc = ubuf;
       }
-      size_t loff = 0;
-      for (size_t bi = 0; bi < below.size(); ++bi) {
-        const Idx i = below[bi];
-        if (shape.owner_row(i) != myrow) continue;
-        const Idx wi = part.width(i);
-        const std::span<const Real> lik = lsrc.subspan(loff, static_cast<size_t>(wi) * w);
-        loff += static_cast<size_t>(wi) * w;
-        size_t uoff = 0;
-        for (size_t bj = 0; bj < below.size(); ++bj) {
-          const Idx j = below[bj];
-          if (shape.owner_col(j) != mycol) continue;
-          const Idx wj = part.width(j);
-          const std::span<const Real> ukj = usrc.subspan(uoff, static_cast<size_t>(w) * wj);
-          uoff += static_cast<size_t>(w) * wj;
-          // Target block (I,J): diagonal, L panel of J, or U panel of I —
-          // always owned by this rank under the cyclic map.
-          if (i == j) {
-            gemm_minus_ld(wi, w, wj, lik, wi, ukj, w, f.diag[static_cast<size_t>(i)],
-                          wi);
-          } else if (i > j) {
-            const Idx pos = sym.find_block(j, i);
-            const Idx rj = sym.panel_rows[static_cast<size_t>(j)];
-            const Idx off = sym.below_offset[static_cast<size_t>(j)][static_cast<size_t>(pos)];
-            gemm_minus_ld(wi, w, wj, lik, wi, ukj, w,
-                          std::span<Real>(f.lpanel[static_cast<size_t>(j)]).subspan(
-                              static_cast<size_t>(off)),
-                          rj);
-          } else {
-            const Idx pos = sym.find_block(i, j);
-            const Idx off = sym.below_offset[static_cast<size_t>(i)][static_cast<size_t>(pos)];
-            gemm_minus_ld(wi, w, wj, lik, wi, ukj, w,
-                          std::span<Real>(f.upanel[static_cast<size_t>(i)])
-                              .subspan(static_cast<size_t>(off) * wi),
-                          wi);
-          }
-          comm.compute(2.0 * wi * w * wj);
+      // Target blocks (I,J) — diagonal, L panel of J, or U panel of I — are
+      // always owned by this rank under the cyclic map.
+      lblocks.clear();
+      ublocks.clear();
+      size_t off = 0;
+      for (size_t b = 0; b < below.size(); ++b) {
+        if (shape.owner_row(below[b]) != myrow) continue;
+        const Idx wi = part.width(below[b]);
+        lblocks.push_back({b, lsrc.data() + off, wi});
+        off += static_cast<size_t>(wi) * w;
+      }
+      off = 0;
+      for (size_t b = 0; b < below.size(); ++b) {
+        if (shape.owner_col(below[b]) != mycol) continue;
+        ublocks.push_back({b, usrc.data() + off, w});
+        off += static_cast<size_t>(w) * part.width(below[b]);
+      }
+      schur_update(f, k, lblocks, ublocks, ws);
+      for (const SchurBlock& lb : lblocks) {
+        for (const SchurBlock& ub : ublocks) {
+          comm.compute(2.0 * part.width(below[lb.pos]) * w * part.width(below[ub.pos]));
         }
       }
     }

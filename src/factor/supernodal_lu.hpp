@@ -8,6 +8,8 @@
 /// the skyline format), and precomputed inverted diagonal blocks
 /// L(K,K)^{-1} / U(K,K)^{-1}.
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "factor/dense.hpp"
@@ -63,6 +65,33 @@ struct SupernodalLU {
 /// the diagonal blocks and L/U panels (no numeric work yet). Shared by the
 /// sequential and distributed factorizations.
 SupernodalLU init_supernodal_storage(const CsrMatrix& a, SymbolicStructure sym);
+
+/// One side of supernode K's trailing update: a block of below[K] taking
+/// part and where its values are. For L(I,K) `data` is the width(I) x w
+/// block at leading dimension `ld`; for U(K,J) it is the packed w x width(J)
+/// block (`ld` = w).
+struct SchurBlock {
+  size_t pos;  ///< index into below[K]
+  const Real* data;
+  Idx ld;
+};
+
+/// Buffers reused by schur_update across supernodes.
+struct SchurScratch {
+  std::vector<Real> lc, uc, cs;     // packed L rows, U columns, C strip
+  std::vector<Idx> rows, cols;      // kept row / column index within its block
+  std::vector<size_t> row_begin, col_begin;  // per block, into rows / cols
+  std::vector<char> nonzero;        // per-row flags while scanning a block
+  std::vector<std::pair<Real*, Idx>> target;  // per L block: C(I,J) and its ld
+};
+
+/// Trailing update of supernode K: C(I,J) -= L(I,K) * U(K,J) for every I in
+/// `lblocks` and J in `ublocks`, into the diagonal block (I == J), the L
+/// panel of J (I > J) or the U panel of I (I < J). Both factorizations call
+/// it, so their factor values agree bit for bit (docs/ALGORITHMS.md §Numeric
+/// factorization explains why skipping zero rows keeps the bits).
+void schur_update(SupernodalLU& f, Idx k, std::span<const SchurBlock> lblocks,
+                  std::span<const SchurBlock> ublocks, SchurScratch& ws);
 
 /// Numeric right-looking supernodal LU factorization. `a` must have a
 /// symmetric pattern and a full diagonal; no pivoting is performed, so the

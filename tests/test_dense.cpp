@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -77,6 +79,122 @@ TEST(Dense, GemmLdUpdatesEmbeddedBlock) {
     }
   }
   EXPECT_LT(frob_diff(panel, expect), 1e-13);
+}
+
+/// The plain jki loop the GEMM kernel must reproduce bit for bit: for each
+/// C(i,j), c += a(i,p) * (sign * b(p,j)) for p ascending, skipping the step
+/// exactly when b(p,j) == 0.
+void reference_gemm(Real sign, Idx m, Idx k, Idx n, const Real* a, Idx lda, const Real* b,
+                    Idx ldb, Real* c, Idx ldc) {
+  for (Idx j = 0; j < n; ++j) {
+    for (Idx p = 0; p < k; ++p) {
+      const Real bpj = sign * b[static_cast<size_t>(j) * ldb + p];
+      if (bpj == 0.0) continue;
+      for (Idx i = 0; i < m; ++i) {
+        c[static_cast<size_t>(j) * ldc + i] += a[static_cast<size_t>(p) * lda + i] * bpj;
+      }
+    }
+  }
+}
+
+bool same_bits(const std::vector<Real>& x, const std::vector<Real>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(Real)) == 0;
+}
+
+TEST(Dense, GemmLdMatchesJkiLoopBitwise) {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<Real> uni(-1.0, 1.0);
+  auto pick = [&](Idx lo, Idx hi) {
+    return std::uniform_int_distribution<Idx>(lo, hi)(rng);
+  };
+  auto chance = [&](double p) { return std::uniform_real_distribution<>(0, 1)(rng) < p; };
+  // Random shapes straddle the register-tile edges; the last few also cross
+  // the packing depth and row-block boundaries.
+  std::vector<std::array<Idx, 3>> shapes;
+  for (int t = 0; t < 150; ++t) shapes.push_back({pick(1, 100), pick(1, 100), pick(1, 100)});
+  shapes.push_back({300, 260, 9});
+  shapes.push_back({513, 129, 5});
+  for (const auto& [m, k, n] : shapes) {
+    const Idx lda = m + pick(0, 3), ldb = k + pick(0, 3), ldc = m + pick(0, 3);
+    std::vector<Real> a(static_cast<size_t>(lda) * k), b(static_cast<size_t>(ldb) * n),
+        c(static_cast<size_t>(ldc) * n);
+    for (auto& v : a) v = uni(rng);
+    for (Idx i = 0; i < m; ++i) {  // all-zero A rows, some of them -0
+      if (!chance(0.2)) continue;
+      const Real z = chance(0.5) ? 0.0 : -0.0;
+      for (Idx p = 0; p < k; ++p) a[static_cast<size_t>(p) * lda + i] = z;
+    }
+    for (Idx j = 0; j < n; ++j) {
+      const bool zero_col = chance(0.15);
+      for (Idx p = 0; p < ldb; ++p) {
+        Real& v = b[static_cast<size_t>(j) * ldb + p];
+        v = (zero_col || chance(0.1)) ? (chance(0.5) ? 0.0 : -0.0) : uni(rng);
+      }
+    }
+    for (auto& v : c) v = chance(0.1) ? -0.0 : uni(rng);  // a skipped step keeps -0
+    for (const Real sign : {-1.0, 1.0}) {
+      auto got = c, want = c;
+      reference_gemm(sign, m, k, n, a.data(), lda, b.data(), ldb, want.data(), ldc);
+      if (sign < 0) {
+        gemm_minus_ld(m, k, n, a, lda, b, ldb, got, ldc);
+      } else {
+        gemm_plus_ld(m, k, n, a, lda, b, ldb, got, ldc);
+      }
+      ASSERT_TRUE(same_bits(got, want))
+          << "m=" << m << " k=" << k << " n=" << n << " sign=" << sign;
+    }
+  }
+}
+
+/// The unblocked TRSM loops the library kernels must reproduce bit for bit.
+void reference_trsm_right_upper(Idx m, Idx n, const std::vector<Real>& lu,
+                                std::vector<Real>& b) {
+  for (Idx j = 0; j < n; ++j) {
+    for (Idx k = 0; k < j; ++k) {
+      const Real ukj = lu[static_cast<size_t>(j) * n + k];
+      if (ukj == 0.0) continue;
+      for (Idx i = 0; i < m; ++i) {
+        b[static_cast<size_t>(j) * m + i] -= b[static_cast<size_t>(k) * m + i] * ukj;
+      }
+    }
+    const Real inv = 1.0 / lu[static_cast<size_t>(j) * n + j];
+    for (Idx i = 0; i < m; ++i) b[static_cast<size_t>(j) * m + i] *= inv;
+  }
+}
+
+void reference_trsm_left_unit_lower(Idx n, Idx m, const std::vector<Real>& lu,
+                                    std::vector<Real>& b) {
+  for (Idx k = 0; k < n; ++k) {
+    for (Idx j = 0; j < m; ++j) {
+      const Real v = b[static_cast<size_t>(j) * n + k];
+      if (v == 0.0) continue;
+      for (Idx i = k + 1; i < n; ++i) {
+        b[static_cast<size_t>(j) * n + i] -= lu[static_cast<size_t>(k) * n + i] * v;
+      }
+    }
+  }
+}
+
+TEST(Dense, TrsmMatchesUnblockedLoopsBitwise) {
+  for (const auto& [m, n] : {std::pair<Idx, Idx>{7, 5}, {600, 13}, {257, 40}}) {
+    auto lu = random_dd(n, 61);
+    for (Idx i = 0; i < n; ++i) lu[static_cast<size_t>(i) * n + i] *= -1.0;  // negative pivots
+    lu[static_cast<size_t>(n - 1) * n] = 0.0;                             // a skipped U entry
+    auto b = random_matrix(m, n, 62);
+    for (Idx j = 0; j < n; ++j) b[static_cast<size_t>(j) * m] = 0.0;  // a zero row of B
+    auto got = b, want = b;
+    trsm_right_upper(m, n, lu, got);
+    reference_trsm_right_upper(m, n, lu, want);
+    EXPECT_TRUE(same_bits(got, want)) << "right, m=" << m;
+
+    auto bl = random_matrix(n, m, 63);
+    for (Idx j = 0; j < m; j += 3) bl[static_cast<size_t>(j) * n] = 0.0;
+    auto got_l = bl, want_l = bl;
+    trsm_left_unit_lower(n, m, lu, got_l);
+    reference_trsm_left_unit_lower(n, m, lu, want_l);
+    EXPECT_TRUE(same_bits(got_l, want_l)) << "left, m=" << m;
+  }
 }
 
 TEST(Dense, LuFactorizationReconstructs) {

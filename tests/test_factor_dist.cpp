@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 #include "dist/factor_dist.hpp"
@@ -18,23 +19,22 @@ SymbolicStructure analyze(const CsrMatrix& a) {
   return block_symbolic(a, find_supernodes(parent, counts));
 }
 
-/// Max elementwise difference between two factorizations' stored values.
-Real factor_diff(const SupernodalLU& x, const SupernodalLU& y) {
-  Real worst = 0;
-  auto cmp = [&](const std::vector<std::vector<Real>>& a,
+/// True when two factorizations store the same bits in every block.
+bool same_factor(const SupernodalLU& x, const SupernodalLU& y) {
+  auto same = [](const std::vector<std::vector<Real>>& a,
                  const std::vector<std::vector<Real>>& b) {
+    if (a.size() != b.size()) return false;
     for (size_t k = 0; k < a.size(); ++k) {
-      for (size_t i = 0; i < a[k].size(); ++i) {
-        worst = std::max(worst, std::abs(a[k][i] - b[k][i]));
+      if (a[k].size() != b[k].size() ||
+          (!a[k].empty() &&
+           std::memcmp(a[k].data(), b[k].data(), a[k].size() * sizeof(Real)) != 0)) {
+        return false;
       }
     }
+    return true;
   };
-  cmp(x.diag, y.diag);
-  cmp(x.lpanel, y.lpanel);
-  cmp(x.upanel, y.upanel);
-  cmp(x.diag_linv, y.diag_linv);
-  cmp(x.diag_uinv, y.diag_uinv);
-  return worst;
+  return same(x.diag, y.diag) && same(x.lpanel, y.lpanel) && same(x.upanel, y.upanel) &&
+         same(x.diag_linv, y.diag_linv) && same(x.diag_uinv, y.diag_uinv);
 }
 
 class FactorDistTest : public ::testing::TestWithParam<std::pair<int, int>> {};
@@ -45,7 +45,7 @@ TEST_P(FactorDistTest, MatchesSequentialFactorization) {
   const SupernodalLU seq = factor_supernodal(a, analyze(a));
   const SupernodalLU dist = factor_supernodal_distributed(
       a, analyze(a), {px, py}, MachineModel::cori_haswell());
-  EXPECT_LT(factor_diff(seq, dist), 1e-11);
+  EXPECT_TRUE(same_factor(seq, dist));
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, FactorDistTest,
@@ -75,7 +75,20 @@ TEST(FactorDist, RandomMatricesAcrossGrids) {
     const SupernodalLU seq = factor_supernodal(a, analyze(a));
     const SupernodalLU dist = factor_supernodal_distributed(
         a, analyze(a), {2, 2}, MachineModel::cori_haswell());
-    EXPECT_LT(factor_diff(seq, dist), 1e-11) << "seed " << seed;
+    EXPECT_TRUE(same_factor(seq, dist)) << "seed " << seed;
+  }
+}
+
+TEST(FactorDist, NegatedMatrixMatchesBitwise) {
+  // Negative pivots: the TRSMs store -0 for zero panel entries, which the
+  // Schur update then reads as zero rows and columns.
+  CsrMatrix a = make_paper_matrix(PaperMatrix::kNlpkkt80, MatrixScale::kTiny);
+  for (Real& v : a.values_mut()) v = -v;
+  const SupernodalLU seq = factor_supernodal(a, analyze(a));
+  for (const auto& [px, py] : {std::pair{2, 2}, std::pair{3, 2}}) {
+    const SupernodalLU dist = factor_supernodal_distributed(
+        a, analyze(a), {px, py}, MachineModel::cori_haswell());
+    EXPECT_TRUE(same_factor(seq, dist)) << px << "x" << py;
   }
 }
 

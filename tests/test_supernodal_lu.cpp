@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "factor/sptrsv_seq.hpp"
 #include "factor/supernodal_lu.hpp"
 #include "ordering/etree.hpp"
@@ -27,6 +29,101 @@ Real reconstruction_error(const CsrMatrix& a, const SupernodalLU& f) {
     }
   }
   return worst;
+}
+
+/// The uncompacted right-looking factorization: one dense block GEMM per
+/// (I,J) pair of below[K], zero rows and columns included. The library's
+/// compacted Schur update must reproduce it bit for bit.
+SupernodalLU factor_dense_blocks(const CsrMatrix& a, SymbolicStructure sym0) {
+  SupernodalLU f = init_supernodal_storage(a, std::move(sym0));
+  const SymbolicStructure& sym = f.sym;
+  const auto& part = sym.part;
+  for (Idx k = 0; k < sym.num_supernodes(); ++k) {
+    const size_t ks = static_cast<size_t>(k);
+    const Idx w = part.width(k);
+    EXPECT_TRUE(lu_unpivoted_inplace(w, f.diag[ks]));
+    f.diag_linv[ks].assign(static_cast<size_t>(w) * w, 0.0);
+    f.diag_uinv[ks].assign(static_cast<size_t>(w) * w, 0.0);
+    invert_unit_lower(w, f.diag[ks], f.diag_linv[ks]);
+    invert_upper(w, f.diag[ks], f.diag_uinv[ks]);
+    const Idx r = sym.panel_rows[ks];
+    if (r == 0) continue;
+    trsm_right_upper(r, w, f.diag[ks], f.lpanel[ks]);
+    trsm_left_unit_lower(w, r, f.diag[ks], f.upanel[ks]);
+    const auto& below = sym.below[ks];
+    const auto& boff = sym.below_offset[ks];
+    for (size_t bi = 0; bi < below.size(); ++bi) {
+      const Idx I = below[bi], wi = part.width(I);
+      const auto lik = std::span<const Real>(f.lpanel[ks]).subspan(boff[bi]);
+      for (size_t bj = 0; bj < below.size(); ++bj) {
+        const Idx J = below[bj], wj = part.width(J);
+        const auto ukj =
+            std::span<const Real>(f.upanel[ks]).subspan(static_cast<size_t>(boff[bj]) * w);
+        if (I == J) {
+          gemm_minus_ld(wi, w, wj, lik, r, ukj, w, f.diag[static_cast<size_t>(I)], wi);
+        } else if (I > J) {
+          const Idx off = sym.below_offset[static_cast<size_t>(J)]
+                                          [static_cast<size_t>(sym.find_block(J, I))];
+          gemm_minus_ld(wi, w, wj, lik, r, ukj, w,
+                        std::span<Real>(f.lpanel[static_cast<size_t>(J)]).subspan(off),
+                        sym.panel_rows[static_cast<size_t>(J)]);
+        } else {
+          const Idx off = sym.below_offset[static_cast<size_t>(I)]
+                                          [static_cast<size_t>(sym.find_block(I, J))];
+          gemm_minus_ld(wi, w, wj, lik, r, ukj, w,
+                        std::span<Real>(f.upanel[static_cast<size_t>(I)])
+                            .subspan(static_cast<size_t>(off) * wi),
+                        wi);
+        }
+      }
+    }
+  }
+  return f;
+}
+
+bool same_bits(const std::vector<std::vector<Real>>& x,
+               const std::vector<std::vector<Real>>& y) {
+  if (x.size() != y.size()) return false;
+  for (size_t k = 0; k < x.size(); ++k) {
+    if (x[k].size() != y[k].size() ||
+        (!x[k].empty() &&
+         std::memcmp(x[k].data(), y[k].data(), x[k].size() * sizeof(Real)) != 0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SupernodalLu, CompactedSchurUpdateMatchesDenseBlocksBitwise) {
+  // Relaxed supernodes leave all-zero rows and columns in the panels; the
+  // negated matrices add negative pivots, so the panels also hold -0; the
+  // third variant stores explicit -0 entries in A itself.
+  for (const PaperMatrix which : all_paper_matrices()) {
+    for (const char* variant : {"", " negated", " with -0 entries"}) {
+      CsrMatrix a = make_paper_matrix(which, MatrixScale::kTiny);
+      const std::string what = paper_matrix_name(which) + variant;
+      if (variant[0] == ' ' && variant[1] == 'n') {
+        for (Real& v : a.values_mut()) v = -v;
+      } else if (variant[0] == ' ') {
+        for (Idx i = 0; i < a.rows(); ++i) {
+          const auto cols = a.row_cols(i);
+          for (size_t t = 0; t < cols.size(); t += 3) {
+            if (cols[t] != i) a.values_mut()[static_cast<size_t>(a.rowptr()[i]) + t] = -0.0;
+          }
+        }
+      }
+      const auto parent = elimination_tree(a);
+      const auto counts = cholesky_col_counts(a, parent);
+      const SymbolicStructure sym = block_symbolic(a, find_supernodes(parent, counts));
+      const SupernodalLU got = factor_supernodal(a, sym);
+      const SupernodalLU want = factor_dense_blocks(a, sym);
+      EXPECT_TRUE(same_bits(got.diag, want.diag)) << what;
+      EXPECT_TRUE(same_bits(got.lpanel, want.lpanel)) << what;
+      EXPECT_TRUE(same_bits(got.upanel, want.upanel)) << what;
+      EXPECT_TRUE(same_bits(got.diag_linv, want.diag_linv)) << what;
+      EXPECT_TRUE(same_bits(got.diag_uinv, want.diag_uinv)) << what;
+    }
+  }
 }
 
 TEST(SupernodalLu, ReconstructsBanded) {
