@@ -29,6 +29,40 @@ Idx find_pos(std::span<const Idx> sorted, Idx v) {
 Idx Solve2dPlan::col_pos(Idx k) const { return find_pos(cols_, k); }
 Idx Solve2dPlan::row_pos(Idx i) const { return find_pos(rows_, i); }
 
+SweepView::SweepView(const Solve2dPlan& plan, Triangle tri) : plan_(&plan), tri_(tri) {
+  const bool l = tri == Triangle::kL;
+  targets_ = l ? &plan.rows_ : &plan.cols_;
+  sources_ = l ? &plan.cols_ : &plan.rows_;
+  reduce_ = l ? &plan.l_reduce_ : &plan.u_reduce_;
+  bcast_ = l ? &plan.l_bcast_ : &plan.u_bcast_;
+  waits_ = l ? &plan.row_pattern_ : &plan.below_;
+  waits_index_ = l ? &plan.row_pattern_index_ : &plan.below_index_;
+  feeds_ = l ? &plan.below_ : &plan.row_pattern_;
+  diag_inv_ = l ? &plan.lu_->diag_linv : &plan.lu_->diag_uinv;
+}
+
+Idx SweepView::target_pos(Idx k) const { return find_pos(*targets_, k); }
+Idx SweepView::source_pos(Idx k) const { return find_pos(*sources_, k); }
+
+SweepView::Block SweepView::block(Idx target, Idx contributor, Idx index) const {
+  const SupernodalLU& lu = *plan_->lu_;
+  if (tri_ == Triangle::kL) {
+    // L(I,K) is a row slice of K's column-major panel_rows(K) x width(K) panel.
+    const auto k = static_cast<size_t>(contributor);
+    const Idx off = lu.sym.below_offset[k][static_cast<size_t>(index)];
+    return {std::span<const Real>(lu.lpanel[k]).subspan(static_cast<size_t>(off)),
+            lu.sym.panel_rows[k]};
+  }
+  // U(K,I) is a packed width(K) x width(I) block at column offset `off` of
+  // K's panel.
+  const auto k = static_cast<size_t>(target);
+  const Idx wk = lu.sym.part.width(target);
+  const Idx off = lu.sym.below_offset[k][static_cast<size_t>(index)];
+  return {std::span<const Real>(lu.upanel[k])
+              .subspan(static_cast<size_t>(off) * static_cast<size_t>(wk)),
+          wk};
+}
+
 Solve2dPlan Solve2dPlan::build(const SupernodalLU& lu, Grid2dShape shape, TreeKind kind,
                                std::vector<Idx> cols, std::vector<Idx> extra_rows) {
   if (!std::is_sorted(cols.begin(), cols.end()) ||

@@ -11,6 +11,8 @@
 /// lists of §3.3 (L broadcast/reduction, U broadcast/reduction). Plans are
 /// built once per grid and shared read-only by the grid's ranks — exactly
 /// the setup precomputation the paper performs on the CPU before the solve.
+/// A SweepView reads one triangle's solve out of a plan, so the L- and
+/// U-solves are one traversal with the roles of rows and columns swapped.
 
 #include <vector>
 
@@ -20,6 +22,8 @@
 #include "ordering/nested_dissection.hpp"
 
 namespace sptrsv {
+
+class SweepView;
 
 class Solve2dPlan {
  public:
@@ -84,6 +88,7 @@ class Solve2dPlan {
   }
 
  private:
+  friend class SweepView;
   const SupernodalLU* lu_ = nullptr;
   Grid2dShape shape_;
   TreeKind kind_ = TreeKind::kBinary;
@@ -98,6 +103,90 @@ class Solve2dPlan {
   std::vector<std::vector<int>> l_reduce_;
   std::vector<std::vector<int>> u_bcast_;
   std::vector<std::vector<int>> u_reduce_;
+};
+
+/// Which triangle a sweep solves.
+enum class Triangle { kL, kU };
+
+/// One triangle's message-driven sweep over a plan (paper Algorithm 3 for
+/// L; Algorithm 1 lines 21-29 for U). A sweep completes *targets*: target
+/// T waits on the blocks (T, C) of its pattern, each owned by rank
+/// (row(T), col(C)); their partial sums reduce up T's reduction tree to
+/// T's diagonal owner, which applies T's diagonal inverse and broadcasts
+/// the solution down T's broadcast tree to the owners of the blocks it
+/// feeds. Solved targets are the *sources* of later targets.
+///  - L: targets are rows(), sources are cols(); block (I, K) is L(I,K),
+///    stored in K's lpanel.
+///  - U: targets are cols(), sources are rows(); block (K, I) is U(K,I),
+///    stored in K's upanel.
+/// Positions are into targets() or sources(). The view holds no state of
+/// its own: every accessor resolves to the plan's lists on each call.
+class SweepView {
+ public:
+  SweepView(const Solve2dPlan& plan, Triangle tri);
+
+  Triangle triangle() const { return tri_; }
+  const Solve2dPlan& plan() const { return *plan_; }
+
+  /// Supernodes whose partial sums the sweep reduces, ascending.
+  std::span<const Idx> targets() const { return *targets_; }
+  /// Supernodes whose solutions the sweep broadcasts, ascending.
+  std::span<const Idx> sources() const { return *sources_; }
+  /// Sources whose solutions are known before the sweep starts (U: the
+  /// external rows, fed forward by the caller); none for L.
+  std::span<const Idx> external_sources() const {
+    if (tri_ == Triangle::kL) return {};
+    return plan_->external_rows();
+  }
+  Idx num_targets() const { return static_cast<Idx>(targets_->size()); }
+  Idx num_sources() const { return static_cast<Idx>(sources_->size()); }
+  /// Position of supernode `k` in targets()/sources(); kNoIdx if absent.
+  /// A target with no source position is external: it is reduced but not
+  /// solved, and its sums are handed back (L only).
+  Idx target_pos(Idx k) const;
+  Idx source_pos(Idx k) const;
+
+  /// Reduction tree of target `tp`; broadcast tree of source `sp`.
+  TreeView reduce(Idx tp) const { return {(*reduce_)[static_cast<size_t>(tp)], plan_->kind_}; }
+  TreeView bcast(Idx sp) const { return {(*bcast_)[static_cast<size_t>(sp)], plan_->kind_}; }
+
+  /// Contributors whose blocks target `tp` waits on, ascending; aligned
+  /// `waits_index` gives each block's index in lu.sym.below of its block
+  /// column (the contributor for L, the target for U).
+  std::span<const Idx> waits(Idx tp) const { return (*waits_)[static_cast<size_t>(tp)]; }
+  std::span<const Idx> waits_index(Idx tp) const {
+    return (*waits_index_)[static_cast<size_t>(tp)];
+  }
+  /// Targets that the solution of source `sp` feeds, ascending.
+  std::span<const Idx> feeds(Idx sp) const { return (*feeds_)[static_cast<size_t>(sp)]; }
+
+  /// Block (target, contributor) as width(target) x width(contributor)
+  /// column-major values with leading dimension `ld`; `index` is its entry
+  /// of waits_index.
+  struct Block {
+    std::span<const Real> values;
+    Idx ld = 0;
+  };
+  Block block(Idx target, Idx contributor, Idx index) const;
+  /// Inverse of supernode `k`'s diagonal block of this triangle.
+  std::span<const Real> diag_inv(Idx k) const { return (*diag_inv_)[static_cast<size_t>(k)]; }
+  /// Flop count of one GEMV/GEMM with block (target, contributor).
+  double block_flops(Idx target, Idx contributor, Idx nrhs) const {
+    return tri_ == Triangle::kL ? plan_->block_flops(target, contributor, nrhs)
+                                : plan_->block_flops(contributor, target, nrhs);
+  }
+
+ private:
+  const Solve2dPlan* plan_;
+  Triangle tri_;
+  const std::vector<Idx>* targets_;
+  const std::vector<Idx>* sources_;
+  const std::vector<std::vector<int>>* reduce_;
+  const std::vector<std::vector<int>>* bcast_;
+  const std::vector<std::vector<Idx>>* waits_;
+  const std::vector<std::vector<Idx>>* waits_index_;
+  const std::vector<std::vector<Idx>>* feeds_;
+  const std::vector<std::vector<Real>>* diag_inv_;
 };
 
 /// Supernode id range [first, last) of a tracked tree node's columns.

@@ -141,9 +141,10 @@ class SlotHeap {
 };
 
 /// One phase's task graph on one grid: a task is (gpu, supernode position)
-/// — the thread block handling that block column (L) or block row (U).
+/// — the thread block handling that supernode's solution and the blocks it
+/// feeds: block column K for L, block row K for U.
 struct PhaseTask {
-  int deps = 0;            ///< outstanding local GEMV contributions / y-arrival
+  int deps = 0;            ///< outstanding local GEMV contributions / solution arrival
   double ready = 0.0;      ///< max contributor finish (valid once deps==0)
   double diag_flops = 0;   ///< inverse-apply work (diagonal tasks only)
   double gemv_flops = 0;   ///< panel update work on this GPU
@@ -151,20 +152,19 @@ struct PhaseTask {
   bool exists = false;
 };
 
-/// Direction of a phase: L consumes `below` patterns, U mirrors them.
-enum class Phase { kL, kU };
-
-/// Simulates one grid's 2D solve phase; returns per-GPU finish times.
-/// `t0[g]` is GPU g's start clock. `gpu_base` is the world index of this
-/// grid's GPU 0 (node locality for puts).
-std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
-                              const GpuExecModel& exec, const GpuFabric& fabric,
-                              int gpu_base, std::span<const double> t0,
-                              GpuScheduleMode mode, TraceSink* sink,
-                              MetricsSink* msink) {
-  const char* const task_label = phase == Phase::kL ? "l_task" : "u_task";
-  const auto& lu = plan.lu();
-  const auto& part = lu.sym.part;
+/// Simulates one grid's 2D solve of the triangle `view` sweeps; returns
+/// per-GPU finish times. `t0[g]` is GPU g's start clock. `gpu_base` is the
+/// world index of this grid's GPU 0 (node locality for puts). Grid plans
+/// track no external rows, so every supernode is both a target and a
+/// source of the sweep.
+std::vector<double> run_phase(const SweepView& view, Idx nrhs, const GpuExecModel& exec,
+                              const GpuFabric& fabric, int gpu_base,
+                              std::span<const double> t0, GpuScheduleMode mode,
+                              TraceSink* sink, MetricsSink* msink) {
+  const bool lower = view.triangle() == Triangle::kL;
+  const char* const task_label = lower ? "l_task" : "u_task";
+  const Solve2dPlan& plan = view.plan();
+  const auto& part = plan.lu().sym.part;
   const int px = plan.shape().px;
   const Idx nc = plan.num_cols();
 
@@ -175,11 +175,10 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
                  static_cast<size_t>(cp)];
   };
 
-  // Build tasks. In both phases the "column owner set" is the broadcast
-  // tree of the solved supernode: l_bcast for L, u_bcast for U.
+  // Build tasks. The member GPUs of a supernode's task are the owners of
+  // the blocks its solution feeds.
   for (Idx cp = 0; cp < nc; ++cp) {
     const Idx k = plan.cols()[static_cast<size_t>(cp)];
-    const Idx rp = plan.row_pos(k);
     const double wk = part.width(k);
     // With py == 1, tree member grid-ranks coincide with process rows.
     const int diag_gpu = plan.shape().row_of(plan.shape().diag_owner(k));
@@ -189,30 +188,17 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
     dt.exists = true;
     dt.is_diag = true;
     dt.diag_flops = 2.0 * wk * wk * nrhs;
-    dt.deps = static_cast<int>(phase == Phase::kL ? plan.row_pattern(rp).size()
-                                                  : plan.below(cp).size());
+    dt.deps = static_cast<int>(view.waits(view.target_pos(k)).size());
     dt.ready = t0[static_cast<size_t>(diag_gpu)];
-    // GEMV work of every member GPU for this supernode's panel.
-    if (phase == Phase::kL) {
-      for (const Idx i : plan.below(cp)) {
-        const int g = plan.shape().owner_row(i);
-        PhaseTask& t = task_at(g, cp);
-        if (!t.exists) {
-          t.exists = true;
-          t.deps = (g == diag_gpu) ? t.deps : 1;  // off-diag waits for y(K)
-        }
-        t.gemv_flops += 2.0 * part.width(i) * wk * nrhs;
+    // GEMV work of every member GPU: block (J, K) lives on process row J.
+    for (const Idx j : view.feeds(view.source_pos(k))) {
+      const int g = plan.shape().owner_row(j);
+      PhaseTask& t = task_at(g, cp);
+      if (!t.exists) {
+        t.exists = true;
+        t.deps = (g == diag_gpu) ? t.deps : 1;  // off-diag waits for the solution
       }
-    } else {
-      for (const Idx j : plan.row_pattern(rp)) {  // U(J,K) lives on row J
-        const int g = plan.shape().owner_row(j);
-        PhaseTask& t = task_at(g, cp);
-        if (!t.exists) {
-          t.exists = true;
-          t.deps = (g == diag_gpu) ? t.deps : 1;
-        }
-        t.gemv_flops += 2.0 * part.width(j) * wk * nrhs;
-      }
+      t.gemv_flops += 2.0 * part.width(j) * wk * nrhs;
     }
   }
 
@@ -230,11 +216,11 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
     // the y/x put) is outstanding. Processing the columns in launch order
     // keeps every producer's completion computed before its consumers.
     for (Idx step = 0; step < nc; ++step) {
-      const Idx cp = (phase == Phase::kL) ? step : nc - 1 - step;
+      const Idx cp = lower ? step : nc - 1 - step;
       const Idx k = plan.cols()[static_cast<size_t>(cp)];
-      const Idx rp = plan.row_pos(k);
+      const Idx sp = view.source_pos(k);
       const double wk = part.width(k);
-      const TreeView bcast = phase == Phase::kL ? plan.l_bcast(cp) : plan.u_bcast(rp);
+      const TreeView bcast = view.bcast(sp);
       const double bytes = wk * nrhs * sizeof(Real);
 
       // BFS over the broadcast tree from the diagonal owner so a relay's
@@ -275,19 +261,11 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
                        TimeCategory::kXyComm);
           }
         });
-        // Feed my local rows'/columns' diagonal readiness.
-        if (phase == Phase::kL) {
-          for (const Idx i : plan.below(cp)) {
-            if (plan.shape().owner_row(i) != g) continue;
-            PhaseTask& t2 = task_at(g, plan.col_pos(i));
-            t2.ready = std::max(t2.ready, end);
-          }
-        } else {
-          for (const Idx j : plan.row_pattern(rp)) {
-            if (plan.shape().owner_row(j) != g) continue;
-            PhaseTask& t2 = task_at(g, plan.col_pos(j));
-            t2.ready = std::max(t2.ready, end);
-          }
+        // Feed my local targets' diagonal readiness.
+        for (const Idx j : view.feeds(sp)) {
+          if (plan.shape().owner_row(j) != g) continue;
+          PhaseTask& t2 = task_at(g, plan.col_pos(j));
+          t2.ready = std::max(t2.ready, end);
         }
       }
     }
@@ -318,9 +296,9 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
     const auto [g, cp] = id;
     PhaseTask& t = task_at(g, cp);
     const Idx k = plan.cols()[static_cast<size_t>(cp)];
-    const Idx rp = plan.row_pos(k);
+    const Idx sp = view.source_pos(k);
     const double wk = part.width(k);
-    const TreeView bcast = phase == Phase::kL ? plan.l_bcast(cp) : plan.u_bcast(rp);
+    const TreeView bcast = view.bcast(sp);
     const double bytes = wk * nrhs * sizeof(Real);
 
     const double dur = exec.task_time(t.diag_flops + t.gemv_flops, nrhs);
@@ -347,17 +325,10 @@ std::vector<double> run_phase(const Solve2dPlan& plan, Phase phase, Idx nrhs,
       on_contribution(child, cp, arrival);
     });
 
-    // The GEMVs completed here feed the diagonal tasks of my local rows.
-    if (phase == Phase::kL) {
-      for (const Idx i : plan.below(cp)) {
-        if (plan.shape().owner_row(i) != g) continue;
-        on_contribution(g, plan.col_pos(i), end);
-      }
-    } else {
-      for (const Idx j : plan.row_pattern(rp)) {
-        if (plan.shape().owner_row(j) != g) continue;
-        on_contribution(g, plan.col_pos(j), end);
-      }
+    // The GEMVs completed here feed the diagonal tasks of my local targets.
+    for (const Idx j : view.feeds(sp)) {
+      if (plan.shape().owner_row(j) != g) continue;
+      on_contribution(g, plan.col_pos(j), end);
     }
   }
   return finish;
@@ -428,10 +399,10 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   std::vector<std::vector<double>> clock(static_cast<size_t>(shape.pz));
   for (int z = 0; z < shape.pz; ++z) {
     const std::vector<double> t0(static_cast<size_t>(shape.px), 0.0);
-    clock[static_cast<size_t>(z)] = run_phase(plans[static_cast<size_t>(z)], Phase::kL,
-                                              cfg.nrhs, exec, fabric,
-                                              /*gpu_base=*/z * shape.px, t0,
-                                              cfg.schedule, sink.get(), msink.get());
+    clock[static_cast<size_t>(z)] =
+        run_phase(SweepView(plans[static_cast<size_t>(z)], Triangle::kL), cfg.nrhs, exec,
+                  fabric, /*gpu_base=*/z * shape.px, t0, cfg.schedule, sink.get(),
+                  msink.get());
     for (int g = 0; g < shape.px; ++g) {
       out.l_finish[static_cast<size_t>(z * shape.px + g)] =
           clock[static_cast<size_t>(z)][static_cast<size_t>(g)];
@@ -504,9 +475,10 @@ GpuSolveTimes simulate_solve_3d_gpu(const SupernodalLU& lu, const NdTree& tree,
   // ---- U phase: independent per grid again, starting at the post-
   // allreduce clocks. ----
   for (int z = 0; z < shape.pz; ++z) {
-    const auto fin = run_phase(plans[static_cast<size_t>(z)], Phase::kU, cfg.nrhs, exec,
-                               fabric, z * shape.px, clock[static_cast<size_t>(z)],
-                               cfg.schedule, sink.get(), msink.get());
+    const auto fin =
+        run_phase(SweepView(plans[static_cast<size_t>(z)], Triangle::kU), cfg.nrhs, exec,
+                  fabric, z * shape.px, clock[static_cast<size_t>(z)], cfg.schedule,
+                  sink.get(), msink.get());
     for (int g = 0; g < shape.px; ++g) {
       out.u_finish[static_cast<size_t>(z * shape.px + g)] =
           fin[static_cast<size_t>(g)];
