@@ -441,7 +441,88 @@ void run_baseline(const SolveContext& ctx, Comm& world, Comm& grid, Comm& zline,
   t.total = world.vtime();
 }
 
+/// Validates the layout and precomputes the plans (the paper's CPU-side
+/// setup phase; untimed).
+SolveContext make_context(const SupernodalLU& lu, const NdTree& tree,
+                          const SolveConfig& cfg) {
+  const auto& shape = cfg.shape;
+  if (!is_pow2(shape.pz)) {
+    throw std::invalid_argument("solve_sptrsv_3d: pz must be a power of two");
+  }
+  const int zlevels = log2_exact(shape.pz);
+  if (zlevels > tree.levels()) {
+    throw std::invalid_argument(
+        "solve_sptrsv_3d: pz exceeds the factor's tracked tree leaves");
+  }
+  SolveContext ctx;
+  ctx.lu = &lu;
+  ctx.coarse = coarsen_nd_tree(tree, zlevels);
+  ctx.cfg = cfg;
+  if (cfg.algorithm == Algorithm3d::kProposed) {
+    for (int z = 0; z < shape.pz; ++z) {
+      ctx.leaf_plans.push_back(
+          make_grid_plan(lu, ctx.coarse, z, shape.grid2d(), cfg.tree));
+    }
+  } else {
+    for (Idx node = 0; node < ctx.coarse.num_nodes(); ++node) {
+      ctx.node_plans.push_back(
+          make_node_plan(lu, ctx.coarse, node, shape.grid2d(), cfg.tree));
+    }
+  }
+  return ctx;
+}
+
+/// Flops each grid rank charges in both sweeps of `plan`, by grid rank.
+std::vector<double> plan_work(const Solve2dPlan& plan, Idx nrhs) {
+  const Grid2dShape& shape = plan.shape();
+  std::vector<double> w(static_cast<size_t>(shape.size()), 0.0);
+  for (const Triangle tri : {Triangle::kL, Triangle::kU}) {
+    const SweepView view(plan, tri);
+    for (Idx tp = 0; tp < view.num_targets(); ++tp) {
+      const Idx tgt = view.targets()[static_cast<size_t>(tp)];
+      if (view.source_pos(tgt) != kNoIdx) {
+        w[static_cast<size_t>(shape.diag_owner(tgt))] += plan.diag_flops(tgt, nrhs);
+      }
+      for (const Idx c : view.waits(tp)) {
+        w[static_cast<size_t>(shape.owner(tgt, c))] += view.block_flops(tgt, c, nrhs);
+      }
+    }
+  }
+  return w;
+}
+
+std::vector<double> sweep_rank_work(const SolveContext& ctx) {
+  const Grid3dShape& shape = ctx.cfg.shape;
+  const Idx nrhs = ctx.cfg.nrhs;
+  std::vector<double> w(static_cast<size_t>(shape.size()), 0.0);
+  for (int z = 0; z < shape.pz; ++z) {
+    // Proposed: one whole-grid plan. Baseline: a z-plane solves the node
+    // plan of level s only while z % 2^s == 0 (see run_baseline).
+    std::vector<const Solve2dPlan*> plans;
+    if (ctx.cfg.algorithm == Algorithm3d::kProposed) {
+      plans.push_back(&ctx.leaf_plans[static_cast<size_t>(z)]);
+    } else {
+      const auto path = ctx.coarse.path_to_root(ctx.coarse.leaf_node_id(z));
+      for (int s = 0; s <= ctx.coarse.levels() && z % (1 << s) == 0; ++s) {
+        plans.push_back(&ctx.node_plans[static_cast<size_t>(path[static_cast<size_t>(s)])]);
+      }
+    }
+    for (const Solve2dPlan* plan : plans) {
+      const std::vector<double> pw = plan_work(*plan, nrhs);
+      for (int g = 0; g < shape.px * shape.py; ++g) {
+        w[static_cast<size_t>(shape.world_rank(z, g))] += pw[static_cast<size_t>(g)];
+      }
+    }
+  }
+  return w;
+}
+
 }  // namespace
+
+std::vector<double> sweep_rank_work(const SupernodalLU& lu, const NdTree& tree,
+                                    const SolveConfig& cfg) {
+  return sweep_rank_work(make_context(lu, tree, cfg));
+}
 
 double DistSolveOutcome::mean(double RankPhaseTimes::* field) const {
   double s = 0;
@@ -464,77 +545,25 @@ DistSolveOutcome solve_sptrsv_3d(const SupernodalLU& lu, const NdTree& tree,
                                  std::span<const Real> b, const SolveConfig& cfg,
                                  const MachineModel& machine) {
   const auto& shape = cfg.shape;
-  if (!is_pow2(shape.pz)) {
-    throw std::invalid_argument("solve_sptrsv_3d: pz must be a power of two");
-  }
-  const int zlevels = log2_exact(shape.pz);
-  if (zlevels > tree.levels()) {
-    throw std::invalid_argument(
-        "solve_sptrsv_3d: pz exceeds the factor's tracked tree leaves");
-  }
+  SolveContext ctx = make_context(lu, tree, cfg);
   if (b.size() != static_cast<size_t>(lu.n()) * static_cast<size_t>(cfg.nrhs)) {
     throw std::invalid_argument("solve_sptrsv_3d: RHS size mismatch");
   }
-
-  SolveContext ctx;
-  ctx.lu = &lu;
-  ctx.coarse = coarsen_nd_tree(tree, zlevels);
-  ctx.cfg = cfg;
   ctx.b = b;
-
-  // Precompute the plans (the paper's CPU-side setup phase; untimed).
-  if (cfg.algorithm == Algorithm3d::kProposed) {
-    for (int z = 0; z < shape.pz; ++z) {
-      ctx.leaf_plans.push_back(
-          make_grid_plan(lu, ctx.coarse, z, shape.grid2d(), cfg.tree));
-    }
-  } else {
-    for (Idx node = 0; node < ctx.coarse.num_nodes(); ++node) {
-      ctx.node_plans.push_back(
-          make_node_plan(lu, ctx.coarse, node, shape.grid2d(), cfg.tree));
-    }
-  }
 
   std::vector<Real> x(b.size(), 0.0);
   std::vector<RankPhaseTimes> times(static_cast<size_t>(shape.size()));
   ctx.x_out = &x;
   ctx.times = &times;
 
-  // Per-rank static work estimates for load-aware degradation and
-  // straggler rebalancing (RecoveryModel::rank_work): the diagonal flops
-  // each world rank owns under the solve plans. Consulted only while
+  // Load-aware degradation (RecoveryModel::rebalance_fanout) weighs
+  // partitions by the flops their sweeps charge. Consulted only while
   // building crash plans, so deriving them here never perturbs the clean
   // ledger; a caller-supplied profile wins.
   MachineModel mach = machine;
-  if ((cfg.run.degrade || cfg.run.rebalance) && mach.recovery.rank_work.empty()) {
-    std::vector<double>& w = mach.recovery.rank_work;
-    w.assign(static_cast<size_t>(shape.size()), 0.0);
-    for (int r = 0; r < shape.size(); ++r) {
-      const int z = shape.z_of(r);
-      const int grid_rank = shape.grid_rank_of(r);
-      if (cfg.algorithm == Algorithm3d::kProposed) {
-        const Solve2dPlan& plan = ctx.leaf_plans[static_cast<size_t>(z)];
-        for (const Idx k : plan.cols()) {
-          if (plan.shape().diag_owner(k) == grid_rank) {
-            w[static_cast<size_t>(r)] += plan.diag_flops(k, cfg.nrhs);
-          }
-        }
-      } else {
-        // Baseline: a z-plane solves at L/U level s only while
-        // z % 2^s == 0 (see run_baseline); count both phases.
-        const auto path = ctx.coarse.path_to_root(ctx.coarse.leaf_node_id(z));
-        for (int s = 0; s <= ctx.coarse.levels(); ++s) {
-          if (z % (1 << s) != 0) break;
-          const Solve2dPlan& plan =
-              ctx.node_plans[static_cast<size_t>(path[static_cast<size_t>(s)])];
-          for (const Idx k : plan.cols()) {
-            if (plan.shape().diag_owner(k) == grid_rank) {
-              w[static_cast<size_t>(r)] += 2.0 * plan.diag_flops(k, cfg.nrhs);
-            }
-          }
-        }
-      }
-    }
+  if ((cfg.run.degrade || cfg.run.rebalance) && mach.recovery.rebalance_fanout > 0 &&
+      mach.recovery.rank_work.empty()) {
+    mach.recovery.rank_work = sweep_rank_work(ctx);
   }
 
   // try_run instead of run: recoverable crash schedules finish normally

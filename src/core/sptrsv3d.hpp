@@ -89,6 +89,15 @@ DistSolveOutcome solve_sptrsv_3d(const SupernodalLU& lu, const NdTree& tree,
                                  std::span<const Real> b, const SolveConfig& cfg,
                                  const MachineModel& machine);
 
+/// Flops each world rank's 2D sweeps charge in one solve under `cfg`: the
+/// diagonal inverses it roots and the off-diagonal blocks it owns, in both
+/// triangles (L(I,K) on rank (row(I), col(K)), U(K,I) on (row(K), col(I))).
+/// These are the load estimates of RecoveryModel::rank_work that
+/// solve_sptrsv_3d derives for load-aware degradation. Indexed by world
+/// rank; same preconditions as solve_sptrsv_3d.
+std::vector<double> sweep_rank_work(const SupernodalLU& lu, const NdTree& tree,
+                                    const SolveConfig& cfg);
+
 /// Convenience wrapper around a FactoredSystem: permutes b in, solves, and
 /// permutes x back to the original row order.
 DistSolveOutcome solve_system_3d(const FactoredSystem& fs, std::span<const Real> b,

@@ -68,9 +68,10 @@ struct RecoveryModel {
   /// the post-shrink overload multiplier. 0 keeps the classic ring adoption
   /// (bitwise-identical plans to earlier releases).
   int rebalance_fanout = 0;
-  /// Per-world-rank relative work estimates for load-aware choices (the
-  /// solve plan's diagonal-block flops, filled by the solver front ends).
-  /// Empty = uniform work. Indexed by partition id (== original world rank).
+  /// Per-world-rank relative work estimates for load-aware choices (every
+  /// flop a rank's 2D sweeps charge, filled by solve_sptrsv_3d when
+  /// rebalance_fanout > 0). Empty = uniform work. Indexed by partition id
+  /// (== original world rank).
   std::vector<double> rank_work;
   /// Straggler watchdog threshold: at every checkpoint epoch each rank
   /// compares its fault-clock lag (fvt − vt) against the high-water mark of

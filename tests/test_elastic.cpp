@@ -366,6 +366,53 @@ TEST(LoadAwareRebalance, SolverPopulatesWorkEstimatesAndStaysBitwiseClean) {
   EXPECT_TRUE(message_counts_identical(split.run_stats, clean.run_stats));
 }
 
+TEST(LoadAwareRebalance, WorkEstimatesEqualChargedFlops) {
+  // Every estimate is the flop count the rank's sweeps charge, so it equals
+  // the rank's clean FP time at the machine's flop rate — no rank is left
+  // at zero (and so at the uniform 1.0 fallback).
+  const CsrMatrix a =
+      make_paper_matrix(PaperMatrix::kS2D9pt2048, MatrixScale::kTiny);
+  const FactoredSystem fs = analyze_and_factor(a, /*nd_levels=*/3);
+  const auto b = random_rhs(a.rows(), 1, 42);
+  for (const Algorithm3d alg : {Algorithm3d::kProposed, Algorithm3d::kBaseline}) {
+    SolveConfig cfg;
+    cfg.shape = {2, 2, 2};
+    cfg.algorithm = alg;
+    cfg.run = kDet;
+    const MachineModel m = test_machine();
+    const std::vector<double> work = sweep_rank_work(fs.lu, fs.tree, cfg);
+    const DistSolveOutcome clean = solve_system_3d(fs, b, cfg, m);
+    ASSERT_EQ(work.size(), clean.run_stats.ranks.size());
+    for (size_t r = 0; r < work.size(); ++r) {
+      const double charged =
+          clean.run_stats.ranks[r].category[static_cast<int>(TimeCategory::kFp)] *
+          m.cpu_flop_rate;
+      EXPECT_GT(work[r], 0.0) << "rank " << r;
+      EXPECT_NEAR(work[r], charged, 1e-9 * charged) << "rank " << r;
+    }
+  }
+}
+
+TEST(LoadAwareRebalance, AdoptedPartitionsBoundTheOverload) {
+  // A rank that crashes with no spare and later returns, under fanout 2:
+  // its partition moves to the least-loaded survivor, whose multiplier is
+  // its hosted work over its own — about 2, never the ratio of a flop
+  // count to the uniform fallback.
+  const CsrMatrix a =
+      make_paper_matrix(PaperMatrix::kS2D9pt2048, MatrixScale::kSmall);
+  const FactoredSystem fs = analyze_and_factor(a, /*nd_levels=*/1);
+  const auto b = random_rhs(a.rows(), 1, 42);
+  SolveConfig cfg;
+  cfg.shape = {2, 2, 2};
+  const test::Scenario s = test::scenario(
+      "spare_ranks=0,degrade,crash=3@1e-4,return=3@5e-4,rebalance_fanout=2");
+  cfg.run = s.run;
+  const DistSolveOutcome res = solve_system_3d(fs, b, cfg, s.machine);
+  EXPECT_EQ(res.run_stats.degradation_stats().degrades, 1);
+  EXPECT_GT(res.run_stats.degradation_stats().overload_mult, 1.0);
+  EXPECT_LT(res.run_stats.degradation_stats().overload_mult, 3.0);
+}
+
 // ---------------------------------------------------------------------------
 // Straggler watchdog: classification on stalls, silence on clean runs.
 // ---------------------------------------------------------------------------
