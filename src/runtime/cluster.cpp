@@ -1359,43 +1359,20 @@ class CommGroup {
   int size() const { return static_cast<int>(globals_.size()); }
   int global_rank(int r) const { return globals_[static_cast<size_t>(r)]; }
 
-  // --- ULFM revocation (docs/ROBUSTNESS.md) ---
-  bool revoked() const { return revoked_; }
-  void set_revoked() { revoked_ = true; }
-
-  /// Structured failure for an operation attempted on a revoked
-  /// communicator (every member observes the same kind; detail names the
-  /// context id so reports from different comms are distinguishable).
-  [[noreturn]] void throw_revoked(int grank, double vt) const {
-    FaultReport r;
-    r.kind = FaultKind::kRevoked;
-    r.rank = grank;
-    r.vt = vt;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "communicator ctx=%llu was revoked",
-                  static_cast<unsigned long long>(ctx_));
-    r.detail = buf;
-    throw FaultError(std::move(r));
-  }
-
   /// State of one in-flight collective operation.
   struct CollSlot {
     int arrived = 0;
     int consumed = 0;
-    /// Arrivals that complete the operation. Normally size(); shrink() and
-    /// other survivor-only collectives lower it (dead ranks cannot arrive).
-    int expected = 0;
     bool ready = false;
     double max_vt = 0.0;   ///< clean-clock sync point (every member's vt)
     double max_fvt = 0.0;  ///< fault-clock sync point (every member's fvt)
     double max_value = 0.0;                         // allreduce_max result
-    std::int64_t agree_and = ~std::int64_t{0};      // agree() running AND
     std::vector<std::vector<Real>> contribs;        // allreduce inputs (by rank)
     std::vector<Real> reduce;                       // allreduce result
     std::vector<std::pair<int, int>> color_key;     // split inputs (by rank)
     std::vector<std::shared_ptr<CommGroup>> split_groups;  // split outputs
     std::vector<int> split_rank;                    // split outputs
-    /// Sizes the split inputs/outputs (split, shrink) on first deposit.
+    /// Sizes the split inputs/outputs on first deposit.
     void size_split(int n) {
       if (!color_key.empty()) return;
       color_key.assign(static_cast<size_t>(n), {0, 0});
@@ -1408,25 +1385,18 @@ class CommGroup {
   /// join the slot's sync point and `deposit` stores its contribution; the
   /// last arriver runs `finalize` and wakes the parked members; everyone
   /// then reads via `extract`. Non-final arrivers park in the scheduler at
-  /// key vt. `tolerate_revoked` lets ULFM repair collectives (agree/shrink)
-  /// proceed on a revoked communicator; everything else fails with
-  /// kRevoked. `expected` overrides the arrival count that completes the
-  /// operation (-1 = all members) for survivor-only collectives.
+  /// key vt.
   template <class Deposit, class Finalize, class Extract>
   auto collective(std::int64_t gen, RankCtx& rank, Deposit deposit,
-                  Finalize finalize, Extract extract,
-                  bool tolerate_revoked = false, int expected = -1) {
+                  Finalize finalize, Extract extract) {
     const int grank = rank.grank;
     const double vt = rank.vt;
-    if (expected < 0) expected = size();
-    if (!tolerate_revoked && revoked()) throw_revoked(grank, vt);
     Scheduler& sched = cluster_->sched();
     CollSlot& slot = slots_[gen];  // map node: stable until erased below
-    if (slot.expected == 0) slot.expected = expected;
     slot.max_vt = std::max(slot.max_vt, vt);
     slot.max_fvt = std::max(slot.max_fvt, rank.fvt);
     deposit(slot);
-    if (++slot.arrived == slot.expected) {
+    if (++slot.arrived == size()) {
       finalize(slot);
       slot.ready = true;
       for (const int g : globals_) {
@@ -1436,12 +1406,11 @@ class CommGroup {
       WaitScope ws(rank.wait, /*collective*/ 2,
                    static_cast<int>(gen), 0, 0, ctx_);
       while (!slot.ready) {
-        if (!tolerate_revoked && revoked()) throw_revoked(grank, vt);
         sched.block(grank, vt);  // a stray message wake rechecks and re-parks
       }
     }
     auto result = extract(slot);
-    if (++slot.consumed == slot.expected) slots_.erase(gen);
+    if (++slot.consumed == size()) slots_.erase(gen);
     return result;
   }
 
@@ -1449,7 +1418,6 @@ class CommGroup {
   ClusterState* cluster_;
   std::uint64_t ctx_;
   std::vector<int> globals_;
-  bool revoked_ = false;
   std::map<std::int64_t, CollSlot> slots_;
 };
 
@@ -1568,14 +1536,10 @@ std::int64_t Comm::bytes_sent(TimeCategory cat) const {
 double Comm::fault_vtime() const { return ctx_->fvt; }
 
 void Comm::send(int dst, int tag, std::vector<Real> data, TimeCategory cat) {
-  send_link(dst, tag, std::move(data), machine().net, machine().mpi_overhead, cat);
-}
-
-void Comm::send_link(int dst, int tag, std::vector<Real> data, const LinkParams& link,
-                     double overhead, TimeCategory cat) {
   if (dst < 0 || dst >= size()) throw std::out_of_range("Comm::send: bad destination");
-  if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
   detail::ClusterState* cluster = group_->cluster();
+  const LinkParams& link = machine().net;
+  const double overhead = machine().mpi_overhead;
   const double t0 = ctx_->vt;
   ctx_->advance(overhead, cat);
   ++ctx_->messages[static_cast<int>(cat)];
@@ -1777,7 +1741,6 @@ Message Comm::recv_range(int src, int tag_lo, int tag_hi, TimeCategory cat) {
   // choice is the globally earliest arrival any runnable rank can produce.
   detail::Scheduler& sched = group_->cluster()->sched();
   for (;;) {
-    if (group_->revoked()) group_->throw_revoked(ctx_->grank, ctx_->vt);
     if (sched.aborted()) throw detail::ClusterAborted();
     auto best = scan();
     if (best == box.end()) {
@@ -1902,88 +1865,6 @@ Comm Comm::split(int color, int key) {
             slot.split_rank[static_cast<size_t>(rank_)]);
       });
   return Comm(std::move(result.first), result.second, ctx_);
-}
-
-void Comm::revoke(TimeCategory cat) {
-  detail::ClusterState* cluster = group_->cluster();
-  // One-sided asynchronous notification: costs the revoker one software
-  // overhead, synchronizes nothing.
-  ctx_->advance_traced(machine().mpi_overhead, cat, TraceEventKind::kAdvance);
-  group_->set_revoked();
-  // Wake every member parked on this communicator (receives and collective
-  // waits) so pending operations fail now rather than at their next
-  // natural wakeup.
-  for (int r = 0; r < group_->size(); ++r) {
-    const int g = group_->global_rank(r);
-    if (g != ctx_->grank) cluster->sched().wake(g);
-  }
-}
-
-bool Comm::revoked() const { return group_->revoked(); }
-
-std::int64_t Comm::agree(std::int64_t value, TimeCategory cat) {
-  const std::int64_t gen = coll_gen_++;
-  const auto result = group_->collective(
-      gen, *ctx_, [&](auto& slot) { slot.agree_and &= value; }, [](auto&) {},
-      [](auto& slot) {
-        return std::tuple<std::int64_t, double, double>(slot.agree_and, slot.max_vt,
-                                                        slot.max_fvt);
-      },
-      /*tolerate_revoked=*/true);
-  // Two synchronizing tree sweeps (a reduce and a confirmation round —
-  // ULFM agreement is roughly two barriers' worth of traffic).
-  ctx_->end_collective("agree", cat, group_->ctx(), gen, std::get<1>(result),
-                       std::get<2>(result),
-                       4 * static_cast<std::int64_t>(detail::log2_ceil(size())), 0);
-  return std::get<0>(result);
-}
-
-Comm Comm::shrink(const std::vector<int>& failed, TimeCategory cat) {
-  std::set<int> dead;
-  for (const int f : failed) {
-    if (f < 0 || f >= size()) throw std::out_of_range("Comm::shrink: bad failed rank");
-    if (f == rank_) {
-      throw std::invalid_argument("Comm::shrink: a survivor cannot be on its own failed list");
-    }
-    dead.insert(f);
-  }
-  // Survivor-only synchronizing sweep: completion needs exactly `expected`
-  // arrivals — the dead ranks, by definition, never arrive.
-  const int expected = size() - static_cast<int>(dead.size());
-  const std::int64_t gen = coll_gen_++;
-  auto group = group_;  // keep alive across the collective
-  auto result = group_->collective(
-      gen, *ctx_,
-      [&](auto& slot) {
-        slot.size_split(size());
-        slot.color_key[static_cast<size_t>(rank_)] = {1, 0};  // I survived
-      },
-      [&](auto& slot) {
-        // Membership is exactly the callers, in old rank order.
-        std::vector<int> survivors;
-        for (int r = 0; r < size(); ++r) {
-          if (slot.color_key[static_cast<size_t>(r)].first == 1) survivors.push_back(r);
-        }
-        std::vector<int> globals;
-        globals.reserve(survivors.size());
-        for (const int r : survivors) globals.push_back(group->global_rank(r));
-        auto g = std::make_shared<detail::CommGroup>(
-            group->cluster(), group->cluster()->next_ctx(), std::move(globals));
-        for (size_t i = 0; i < survivors.size(); ++i) {
-          slot.split_groups[static_cast<size_t>(survivors[i])] = g;
-          slot.split_rank[static_cast<size_t>(survivors[i])] = static_cast<int>(i);
-        }
-      },
-      [&](auto& slot) {
-        return std::tuple<std::shared_ptr<detail::CommGroup>, int, double, double>(
-            slot.split_groups[static_cast<size_t>(rank_)],
-            slot.split_rank[static_cast<size_t>(rank_)], slot.max_vt, slot.max_fvt);
-      },
-      /*tolerate_revoked=*/true, expected);
-  ctx_->end_collective("shrink", cat, group_->ctx(), gen, std::get<2>(result),
-                       std::get<3>(result),
-                       2 * static_cast<std::int64_t>(detail::log2_ceil(expected)), 0);
-  return Comm(std::move(std::get<0>(result)), std::get<1>(result), ctx_);
 }
 
 CheckpointScope Comm::register_checkpoint(

@@ -294,11 +294,6 @@ class Comm {
   void send(int dst, int tag, std::vector<Real> data,
             TimeCategory cat = TimeCategory::kOther);
 
-  /// Send with explicit link parameters and software overhead — the GPU
-  /// layer uses this to model NVSHMEM puts over NVLink vs inter-node links.
-  void send_link(int dst, int tag, std::vector<Real> data, const LinkParams& link,
-                 double overhead, TimeCategory cat);
-
   /// Blocking receive; `src`/`tag` may be kAnySource/kAnyTag. Advances the
   /// virtual clock to max(own, arrival) and attributes the wait to `cat`.
   Message recv(int src, int tag, TimeCategory cat = TimeCategory::kOther);
@@ -325,31 +320,6 @@ class Comm {
   /// Splits into subcommunicators by color, ranked by (key, old rank).
   /// Setup cost is not charged (grids/trees are precomputed in the paper).
   Comm split(int color, int key);
-
-  // --- ULFM-style recovery primitives (docs/ROBUSTNESS.md) ---
-  /// Marks this communicator revoked (ULFM MPI_Comm_revoke): every pending
-  /// and future point-to-point or collective operation on it, at every
-  /// member, fails with FaultKind::kRevoked — blocked peers are woken to
-  /// unwind. agree() and shrink() still complete on a revoked communicator,
-  /// which is how survivors coordinate the repair. Charges the caller one
-  /// software overhead (the notification is one-sided and asynchronous).
-  void revoke(TimeCategory cat = TimeCategory::kOther);
-  /// True once any member has revoked this communicator.
-  bool revoked() const;
-  /// Fault-tolerant agreement (ULFM MPIX_Comm_agree): returns the bitwise
-  /// AND of every member's `value`, and completes even on a revoked
-  /// communicator. Costs two synchronizing tree sweeps (twice a barrier).
-  /// Every member must call it; exclude dead ranks with shrink() first (the
-  /// in-process model has no asynchronous rank death to tolerate here).
-  std::int64_t agree(std::int64_t value, TimeCategory cat = TimeCategory::kOther);
-  /// Collectively rebuilds the communicator without the `failed` comm-local
-  /// ranks (ULFM MPI_Comm_shrink): only the survivors call (every caller
-  /// must pass an identical `failed` list), completion needs exactly
-  /// size() - failed.size() arrivals, and it works on a revoked
-  /// communicator. Survivors keep their relative order. Costs one
-  /// synchronizing tree sweep (one barrier) among the survivors.
-  Comm shrink(const std::vector<int>& failed,
-              TimeCategory cat = TimeCategory::kOther);
 
   // --- buddy checkpointing + SDC anchoring (docs/ROBUSTNESS.md; no-ops
   // without a crash model, SDC schedule, or RunOptions::abft) ---

@@ -94,7 +94,6 @@ enum class FaultKind : int {
   kRankStalled,       ///< permanent rank stall swallowed every attempt
   kDeadlock,          ///< no rank can run and some rank waits (exact)
   kVtLimit,           ///< virtual clock passed RunOptions::vt_limit
-  kRevoked,           ///< operation on a communicator revoked after a crash
   kBuddyLoss,         ///< crashed rank and its checkpoint buddy both died
   kSparesExhausted,   ///< more crashes than the spare-rank pool could absorb
   kSilentCorruption,  ///< residual check caught uncorrected memory faults
