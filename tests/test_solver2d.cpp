@@ -122,6 +122,38 @@ TEST(Solver2d, ExternalLsumMatchesManualComputation) {
   }
 }
 
+TEST(Solver2d, ExternalSolutionsFeedUSolve) {
+  // U-solve of leaf node 0 alone: the ancestors' solutions come in through
+  // x_external, taken from the sequential solve, and the leaf's solution
+  // must match solve_u_seq.
+  const FactoredSystem fs = make_system(1);
+  const Grid2dShape shape{2, 2};
+  const Idx leaf0 = fs.tree.leaf_node_id(0);
+  const Solve2dPlan plan = make_node_plan(fs.lu, fs.tree, leaf0, shape, TreeKind::kBinary);
+  ASSERT_FALSE(plan.external_rows().empty());
+  const Idx n = fs.lu.n();
+  const auto b = random_rhs(n, 1, 9);
+  std::vector<Real> y_ref(static_cast<size_t>(n)), x_ref(static_cast<size_t>(n));
+  solve_l_seq(fs.lu, b, y_ref, 1);
+  solve_u_seq(fs.lu, y_ref, x_ref, 1);
+
+  std::vector<Real> x_dist(static_cast<size_t>(n), 0.0);
+  std::mutex mu;
+  Cluster::run(shape.size(), MachineModel::cori_haswell(), [&](Comm& c) {
+    const VecMap y_local = local_pieces(fs.lu, plan, c.rank(), plan.cols(), y_ref, 1);
+    const VecMap x_external =
+        local_pieces(fs.lu, plan, c.rank(), plan.external_rows(), x_ref, 1);
+    auto res = solve_u_2d(c, plan, y_local, x_external, 1, 0);
+    std::lock_guard<std::mutex> lk(mu);
+    merge_pieces(fs.lu, res.x, x_dist, 1);
+  });
+
+  const auto& nd = fs.tree.node(leaf0);
+  for (Idx i = nd.col_begin; i < nd.col_end; ++i) {
+    EXPECT_NEAR(x_dist[static_cast<size_t>(i)], x_ref[static_cast<size_t>(i)], 1e-10);
+  }
+}
+
 TEST(Solver2d, FlatAndBinaryTreesGiveIdenticalResults) {
   const FactoredSystem fs = make_system(0);
   const Grid2dShape shape{2, 3};
