@@ -8,8 +8,12 @@
 /// then sends y(K) down K's broadcast tree; owners of blocks L(I,K) fold
 /// y(K) into their local lsum(I) and push it up I's reduction tree. All
 /// bookkeeping (`fmod` in the paper) is precomputed in the Solve2dPlan.
-/// The U-solve mirrors the pattern with broadcast and reduction roles
-/// swapped and the elimination order reversed.
+/// The U-solve is the same sweep in the other direction: columns are
+/// reduced and rows broadcast, in reverse elimination order. Both entry
+/// points run one sweep body over a SweepView of the plan
+/// (dist/solve_plan.hpp), which resolves per triangle which supernodes are
+/// reduced and which broadcast, where each block lives and which diagonal
+/// inverse applies.
 ///
 /// The same routine serves both 3D algorithms: the proposed one calls it
 /// once per grid on the whole L^z/U^z, the baseline calls it per
